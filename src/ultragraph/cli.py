@@ -31,10 +31,9 @@ from .io import (
 )
 from .metrics import (
     betweenness_exponent,
-    dendrogram,
     distance_matrix,
-    quotient,
     shortest_path_matrix,
+    subdominant_dendrogram,
     subdominant_matrix,
 )
 from .oracle import oracle_cycle_condition, oracle_subdominant, oracle_twice_max
@@ -174,11 +173,14 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph(args) -> WeightedGraph:
-    if args.input is None or args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.input is None or args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input: {exc}") from None
     return parse_edge_list(text)
 
 
@@ -202,12 +204,10 @@ def _run(args) -> int:
         return 1
 
     if args.command == "subdominant":
-        m = subdominant_matrix(g)
         if args.format == "newick":
-            _, reduced = quotient(m)
-            print(emit_newick(dendrogram(reduced), args.approx_digits))
+            print(emit_newick(subdominant_dendrogram(g), args.approx_digits))
         else:
-            print(emit_matrix(m, args.format))
+            print(emit_matrix(subdominant_matrix(g), args.format))
         return 0
 
     if args.command == "shortest":

@@ -24,7 +24,6 @@ from typing import Mapping
 
 from .errors import (
     BadHubIndexError,
-    DisconnectedError,
     MissingConstantError,
     NotCompleteMultipartiteError,
     NotExtendableError,
@@ -40,7 +39,14 @@ from .graph import (
     strict_threshold_subgraph,
     to_weight,
 )
-from .metrics import AxiomClass, DistanceMatrix, distance_matrix, subdominant_matrix
+from .metrics import (
+    AxiomClass,
+    DistanceMatrix,
+    _graph_levels,
+    _require_connected,
+    distance_matrix,
+    subdominant_matrix,
+)
 from .structure import find_multipartite_obstruction, multipartite_parts
 
 Pair = tuple[Vertex, Vertex]
@@ -83,40 +89,19 @@ def _bfs_path(g: WeightedGraph, start: Vertex, goal: Vertex) -> list[Vertex] | N
 def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     """Decide whether the weighting extends to a pseudoultrametric.
 
-    Union-find over edges in increasing weight order: an edge whose
-    endpoints are already joined by strictly lighter edges closes a
+    One merge pass over the edges in increasing weight order: an edge
+    whose endpoints are already joined by strictly lighter edges closes a
     cycle with a unique maximum, and the lighter connection supplies the
     witness. Equal-weight edges are checked before any of them merge, so
     ties never count against each other. Disconnected graphs are fine:
     components are independent for this question.
     """
-    idx = g.vertex_index
-    parent = list(range(len(g.vertices)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edges = sorted(g.weighted_edges(), key=lambda e: e[2])
-    pos = 0
-    while pos < len(edges):
-        w = edges[pos][2]
-        end = pos
-        while end < len(edges) and edges[end][2] == w:
-            end += 1
-        for u, v, _ in edges[pos:end]:
-            if find(idx(u)) == find(idx(v)):
-                lighter = strict_threshold_subgraph(g, w)
-                detour = _bfs_path(lighter, u, v)
-                assert detour is not None
-                return ExtendabilityReport(False, Cycle(tuple(detour)))
-        for u, v, _ in edges[pos:end]:
-            ru, rv = find(idx(u)), find(idx(v))
-            if ru != rv:
-                parent[ru] = rv
-        pos = end
+    for w, closers, _ in _graph_levels(g):
+        if closers:
+            u, v = g.vertices[closers[0][0]], g.vertices[closers[0][1]]
+            detour = _bfs_path(strict_threshold_subgraph(g, w), u, v)
+            assert detour is not None
+            return ExtendabilityReport(False, Cycle(tuple(detour)))
     return ExtendabilityReport(True, None)
 
 
@@ -128,9 +113,7 @@ def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     every edge. No greatest extension exists on disconnected graphs, and
     none at all without extendability.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise DisconnectedError(comps.blocks[0][0], comps.blocks[1][0])
+    _require_connected(g)
     report = is_pseudoultrametrizable(g)
     if not report.pseudoultrametrizable:
         raise NotExtendableError(report.witness)
@@ -200,9 +183,7 @@ def _twice_max_analysis(
     strictly-lighter subgraph joins {p,q} to {x,y} by two vertex-disjoint
     paths; the witness weight is w(e).
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise DisconnectedError(comps.blocks[0][0], comps.blocks[1][0])
+    _require_connected(g)
 
     verts = g.vertices
     unresolved: list[Pair] = [
@@ -261,9 +242,7 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
     subgraph of zero-weight edges: a path of maximum weight below every
     positive bound must avoid all positive edges.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise DisconnectedError(comps.blocks[0][0], comps.blocks[1][0])
+    _require_connected(g)
     zero = build_graph(
         g.vertices, [(u, v, w) for u, v, w in g.weighted_edges() if w == 0]
     )

@@ -32,12 +32,9 @@ def parse_weight(text: str) -> Weight:
     return to_weight(value)
 
 
-def format_weight(w) -> str:
-    """Shortest terminating decimal if one exists, else ``p/q``."""
-    w = Fraction(w)
+def _terminating_decimal(w: Fraction) -> str | None:
+    """Shortest decimal spelling of ``w``, or None when it does not terminate."""
     den = w.denominator
-    if den == 1:
-        return str(w.numerator)
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
@@ -47,12 +44,20 @@ def format_weight(w) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{w.numerator}/{w.denominator}"
+        return None
     k = max(twos, fives)
+    if k == 0:
+        return str(w.numerator)
     scaled = w.numerator * 10**k // den
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+
+def format_weight(w) -> str:
+    """Shortest terminating decimal if one exists, else ``p/q``."""
+    w = Fraction(w)
+    return _terminating_decimal(w) or f"{w.numerator}/{w.denominator}"
 
 
 def parse_edge_list(text: str) -> WeightedGraph:
@@ -174,13 +179,9 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
     """
 
     def fmt(length: Fraction) -> str:
-        den = length.denominator
-        reduced = den
-        for p in (2, 5):
-            while reduced % p == 0:
-                reduced //= p
-        if reduced == 1:
-            return format_weight(length)
+        exact = _terminating_decimal(length)
+        if exact is not None:
+            return exact
         if approx_digits is None:
             raise InexactDecimalError(
                 f"branch length {length} has no terminating decimal; "
@@ -190,12 +191,27 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
         approx = format_weight(Fraction(scaled, 10**approx_digits))
         return f"{approx}[{length.numerator}/{length.denominator}]"
 
-    def render(node: Dendrogram) -> str:
-        if node.is_leaf():
-            return str(node.label)
-        parts = []
-        for ch in sorted(node.children, key=Dendrogram.min_leaf):
-            parts.append(render(ch) + ":" + fmt(node.height - ch.height))
-        return "(" + ",".join(parts) + ")"
+    # Least leaf of every node, children before parents.
+    least: dict[int, Vertex] = {}
+    for node in reversed(list(d._preorder())):
+        below = (least[id(ch)] for ch in node.children)
+        least[id(node)] = min(below, default=node.label)
 
-    return render(d) + ";"
+    # Depth-first without recursion. The stack holds nodes, literal text
+    # and branch lengths; a length is formatted right after its subtree.
+    out: list[str] = []
+    stack: list = [";", d]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not isinstance(item, Dendrogram):
+            out.append(":" + fmt(item))
+        elif item.is_leaf():
+            out.append(str(item.label))
+        else:
+            kids = sorted(item.children, key=lambda ch: least[id(ch)])
+            stack.append(")")
+            for k in reversed(range(len(kids))):
+                stack += [item.height - kids[k].height, kids[k], "," if k else "("]
+    return "".join(out)

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,7 +191,6 @@ def _triangle_witness(rows) -> tuple[int, int, int] | None:
 
 
 def _zero_offdiagonal_witness(ranks: np.ndarray) -> tuple[int, int] | None:
-    n = ranks.shape[0]
     off = ranks.copy()
     np.fill_diagonal(off, 1)
     bad = off == 0
@@ -287,6 +287,50 @@ def _require_connected(g: WeightedGraph) -> None:
         raise DisconnectedError(comps.blocks[0][0], comps.blocks[1][0])
 
 
+def _merge_levels(n: int, edges: Iterable[tuple[int, int, Weight]]):
+    """Kruskal pass over index edges ``(i, j, w)``, one weight level at a time.
+
+    Yields ``(w, closers, merges)`` per distinct weight, increasing.
+    ``closers`` are the level's edges whose endpoints strictly lighter
+    edges already joined; ``merges`` lists each union in edge order as the
+    member lists of the two clusters it fused, survivor first. The lists
+    are never mutated once yielded, and a cluster's first member is its root.
+    """
+    parent = list(range(n))
+    members: list[list[int]] = [[i] for i in range(n)]
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for w, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
+        batch = list(batch)
+        closers = [e for e in batch if find(e[0]) == find(e[1])]
+        merges = []
+        for i, j, _ in batch:
+            ra, rb = find(i), find(j)
+            if ra == rb:
+                continue
+            if len(members[ra]) < len(members[rb]):
+                ra, rb = rb, ra
+            a, b = members[ra], members[rb]
+            merges.append((a, b))
+            parent[rb] = ra
+            members[ra] = a + b
+            members[rb] = []
+        yield w, closers, merges
+
+
+def _graph_levels(g: WeightedGraph):
+    """``_merge_levels`` over the graph's edges in canonical order."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    return _merge_levels(
+        len(g.vertices), [(idx[u], idx[v], w) for u, v, w in g.weighted_edges()]
+    )
+
+
 def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     """Greatest pseudoultrametric lying edgewise below the weighting.
 
@@ -298,46 +342,18 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     components when no extension below the weight exists at all.
     """
     _require_connected(g)
-    verts = g.vertices
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-
-    values = np.empty((n, n), dtype=object)
-    values.fill(Fraction(0))
+    n = len(g.vertices)
     ranks = np.zeros((n, n), dtype=np.int32)
+    weights = [Fraction(0)]  # weight of each rank
+    for w, _, merges in _graph_levels(g):
+        if merges and w:
+            weights.append(w)
+        for a, b in merges:
+            ranks[np.asarray(a)[:, None], b] = len(weights) - 1
+            ranks[np.asarray(b)[:, None], a] = len(weights) - 1
+    values = np.asarray(weights, dtype=object)[ranks]
 
-    parent = list(range(n))
-    members: list[list[int]] = [[i] for i in range(n)]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    level = 0
-    last_w = Fraction(0)
-    for u, v, w in sorted(g.weighted_edges(), key=lambda e: e[2]):
-        ra, rb = find(idx[u]), find(idx[v])
-        if ra == rb:
-            continue
-        if w > last_w:
-            level += 1
-            last_w = w
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        a_idx, b_idx = members[ra], members[rb]
-        rows_a = np.asarray(a_idx)[:, None]
-        rows_b = np.asarray(b_idx)[:, None]
-        values[rows_a, b_idx] = w
-        values[rows_b, a_idx] = w
-        ranks[rows_a, b_idx] = level
-        ranks[rows_b, a_idx] = level
-        parent[rb] = ra
-        a_idx.extend(b_idx)
-        members[rb] = []
-
-    return _finish(verts, values.tolist(), ranks)
+    return _finish(g.vertices, values.tolist(), ranks)
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
@@ -407,25 +423,15 @@ def quotient(m: DistanceMatrix) -> tuple[Partition, DistanceMatrix]:
         raise NotPseudoultrametricError(
             f"matrix class is {m.axiom_class.value}, need pseudoultrametric"
         )
-    n = len(m.vertices)
-    block_of = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if block_of[i] >= 0:
-            continue
-        b = len(reps)
-        block_of[i] = b
-        reps.append(i)
-        for j in range(i + 1, n):
-            if block_of[j] < 0 and m.entries[i][j] == 0:
-                block_of[j] = b
-    blocks = tuple(
-        tuple(m.vertices[i] for i in range(n) if block_of[i] == b)
-        for b in range(len(reps))
-    )
-    names = tuple(m.vertices[r] for r in reps)
+    # Zero distance is an equivalence here, so the first zero in each row
+    # sits at the first member of that vertex's class.
+    blocks: dict[int, list[Vertex]] = {}
+    for v, row in zip(m.vertices, m.entries):
+        blocks.setdefault(row.index(0), []).append(v)
+    reps = list(blocks)
     rows = [[m.entries[a][b] for b in reps] for a in reps]
-    return Partition(blocks), distance_matrix(names, rows)
+    names = [m.vertices[r] for r in reps]
+    return Partition(tuple(map(tuple, blocks.values()))), distance_matrix(names, rows)
 
 
 @dataclass(frozen=True)
@@ -447,16 +453,66 @@ class Dendrogram:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def _preorder(self) -> Iterator["Dendrogram"]:
+        """Every node, parents before children, without recursion."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
     def leaves(self) -> list[Vertex]:
-        if self.is_leaf():
-            return [self.label]  # type: ignore[list-item]
-        out: list[Vertex] = []
-        for ch in self.children:
-            out.extend(ch.leaves())
-        return out
+        return [node.label for node in self._preorder() if node.is_leaf()]
 
     def min_leaf(self) -> Vertex:
         return min(self.leaves())
+
+
+def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
+    """Multiway merge tree of a connected ``_merge_levels`` sequence.
+
+    Zero-weight merges collapse into one leaf named after the class's
+    first vertex in canonical order, as ``quotient`` names its blocks.
+    Positive merges at one height extend one node, whose children are
+    ordered by their least leaf label.
+    """
+    first = list(range(len(vertices)))  # first vertex of each zero class
+    tops: dict[int, tuple[Vertex, Dendrogram]] = {}  # root -> (least leaf, tree)
+
+    def top(r: int) -> tuple[Vertex, Dendrogram]:
+        if r in tops:
+            return tops.pop(r)
+        label = vertices[first[r]]
+        return label, Dendrogram(Fraction(0), (), label)
+
+    root = 0
+    for w, _, merges in levels:
+        if not w:
+            for a, b in merges:
+                first[a[0]] = min(first[a[0]], first[b[0]])
+                root = a[0]
+            continue
+        growing: dict[int, list[tuple[Vertex, Dendrogram]]] = {}
+        for a, b in merges:
+            kids = growing.pop(a[0], None) or [top(a[0])]
+            kids += growing.pop(b[0], None) or [top(b[0])]
+            growing[a[0]] = kids
+            root = a[0]
+        for r, kids in growing.items():
+            kids.sort(key=itemgetter(0))
+            tops[r] = (kids[0][0], Dendrogram(w / 2, tuple(t for _, t in kids)))
+    return top(root)[1]
+
+
+def subdominant_dendrogram(g: WeightedGraph) -> Dendrogram:
+    """Merge tree of the subdominant pseudoultrametric, read off the merges.
+
+    Equals ``dendrogram(quotient(subdominant_matrix(g))[1])`` without the
+    matrix; leaves are the zero-distance classes. Raises DisconnectedError
+    like ``subdominant_matrix``.
+    """
+    _require_connected(g)
+    return _merge_tree(g.vertices, _graph_levels(g))
 
 
 def dendrogram(m: DistanceMatrix) -> Dendrogram:
@@ -469,61 +525,8 @@ def dendrogram(m: DistanceMatrix) -> Dendrogram:
             f"matrix class is {m.axiom_class.value}, need ultrametric"
         )
     n = len(m.vertices)
-    nodes: dict[int, Dendrogram] = {
-        i: Dendrogram(Fraction(0), (), m.vertices[i]) for i in range(n)
-    }
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    pairs = sorted(
-        ((m.entries[i][j], i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda t: t[0],
-    )
-    pos = 0
-    while pos < len(pairs):
-        h = pairs[pos][0]
-        batch = []
-        while pos < len(pairs) and pairs[pos][0] == h:
-            batch.append(pairs[pos])
-            pos += 1
-        # All pairs at one height merge simultaneously into multiway
-        # nodes: group the touched roots into connected clusters first.
-        grouping: dict[int, set[int]] = {}
-        for _, i, j in batch:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            gi = grouping.setdefault(ri, {ri})
-            gj = grouping.setdefault(rj, {rj})
-            if gi is gj:
-                continue
-            if len(gi) < len(gj):
-                gi, gj = gj, gi
-            gi.update(gj)
-            for r in gj:
-                grouping[r] = gi
-        done: set[int] = set()
-        for group in grouping.values():
-            if id(group) in done:
-                continue
-            done.add(id(group))
-            roots = sorted(group)
-            children = sorted(
-                (nodes[r] for r in roots), key=Dendrogram.min_leaf
-            )
-            merged = Dendrogram(h / 2, tuple(children))
-            keep = roots[0]
-            for r in roots[1:]:
-                parent[r] = keep
-                del nodes[r]
-            nodes[keep] = merged
-    (root,) = nodes.values()
-    return root
+    pairs = [(i, j, m.entries[i][j]) for i, j in combinations(range(n), 2)]
+    return _merge_tree(m.vertices, _merge_levels(n, pairs))
 
 
 def matrix_from_dendrogram(
@@ -543,19 +546,14 @@ def matrix_from_dendrogram(
     n = len(verts)
     rows = [[Fraction(0)] * n for _ in range(n)]
 
-    def fill(node: Dendrogram) -> list[Vertex]:
-        if node.is_leaf():
-            return [node.label]  # type: ignore[list-item]
-        groups = [fill(ch) for ch in node.children]
+    for node in d._preorder():
+        groups = [ch.leaves() for ch in node.children]
         dist = 2 * node.height
         for gi, gj in combinations(groups, 2):
             for a in gi:
                 for b in gj:
                     rows[idx[a]][idx[b]] = dist
                     rows[idx[b]][idx[a]] = dist
-        return [v for g in groups for v in g]
-
-    fill(d)
     return distance_matrix(verts, rows)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, error lines."""
 
 import io
+import sys
 
 import pytest
 
@@ -81,6 +82,21 @@ class TestMatrices:
         assert code == 2
         assert err.startswith("inexact-decimal:")
         assert err.count("\n") == 1
+
+    def test_newick_deeper_than_recursion_limit(self, cli):
+        # Path v0..v1499 with edge weights 1..1499 merges one vertex per
+        # level: a caterpillar whose node at height k/2 has the previous
+        # node (branch 0.5) and v_k (branch k/2) as children.
+        n = 1500
+        assert sys.getrecursionlimit() < n
+        text = "".join(f"v{k - 1} v{k} {k}\n" for k in range(1, n))
+        expected = "(v0:0.5,v1:0.5)"
+        for k in range(2, n):
+            half = f"{k // 2}" if k % 2 == 0 else f"{k // 2}.5"
+            expected = f"({expected}:0.5,v{k}:{half})"
+        code, out, err = cli(["subdominant", "--format", "newick"], text)
+        assert (code, err) == (0, "")
+        assert out == expected + ";\n"
 
     def test_shortest_json(self, cli):
         code, out, _ = cli(["shortest"], TRIANGLE_123)
@@ -268,9 +284,22 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("parse-error:")
 
-    def test_missing_file(self, cli):
-        with pytest.raises(FileNotFoundError):
-            cli(["check", "--input", "/nonexistent/path.txt"])
+    def assert_unreadable(self, result):
+        code, out, err = result
+        assert (code, out) == (2, "")
+        assert err.startswith("parse-error: cannot read input:")
+        assert err.count("\n") == 1
+
+    def test_missing_file(self, cli, tmp_path):
+        self.assert_unreadable(cli(["check", "-i", str(tmp_path / "missing.txt")]))
+
+    def test_directory(self, cli, tmp_path):
+        self.assert_unreadable(cli(["check", "-i", str(tmp_path)]))
+
+    def test_invalid_utf8(self, cli, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"a b \xff\n")
+        self.assert_unreadable(cli(["check", "-i", str(f)]))
 
 
 class TestUsageErrors:

@@ -6,12 +6,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import ultragraph as ug
 from ultragraph import AxiomClass, PartialOrderResult, oracle
 
-from corpus import random_ultrametric
+from corpus import disjoint_union, random_connected_graph, random_ultrametric
 
 WEIGHTS = [
     Fraction(0),
@@ -134,6 +135,32 @@ def test_dendrogram_round_trip(m):
     d = ug.dendrogram(m)
     assert ug.matrix_from_dendrogram(d, m.vertices) == m
     assert sorted(d.leaves()) == sorted(m.vertices)
+
+
+@st.composite
+def corpus_graphs(draw):
+    return random_connected_graph(random.Random(draw(st.integers(0, 10**9))), 1, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_graphs())
+def test_subdominant_dendrogram_matches_oracle(g):
+    rows = [[oracle.oracle_subdominant(g, u, v) for v in g.vertices] for u in g.vertices]
+    _, q = ug.quotient(ug.distance_matrix(g.vertices, rows))
+    d = ug.subdominant_dendrogram(g)
+    assert ug.matrix_from_dendrogram(d, q.vertices) == q
+    assert d == ug.dendrogram(q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpus_graphs(), corpus_graphs())
+def test_subdominant_dendrogram_rejects_disconnected(g1, g2):
+    g = disjoint_union(g1, g2)
+    with pytest.raises(ug.DisconnectedError) as tree_exc:
+        ug.subdominant_dendrogram(g)
+    with pytest.raises(ug.DisconnectedError) as matrix_exc:
+        ug.subdominant_matrix(g)
+    assert (tree_exc.value.u, tree_exc.value.v) == (matrix_exc.value.u, matrix_exc.value.v)
 
 
 @settings(max_examples=40, deadline=None)
