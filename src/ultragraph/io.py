@@ -11,6 +11,7 @@ a comment.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -23,13 +24,31 @@ from .graph import Vertex, Weight, WeightedGraph, build_graph, to_weight
 from .metrics import Dendrogram, DistanceMatrix, distance_matrix
 
 
+# Longest literal, and largest exponent magnitude, accepted: both bound
+# the digits Fraction must build, well below int's 4,300-digit str limit.
+_LITERAL_LIMIT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def _literal_value(text, line: int | None = None) -> Fraction:
+    """Exact value of a weight literal; refuses literals too large to convert."""
+    if isinstance(text, str):
+        exp = _EXPONENT.search(text)
+        if len(text) > _LITERAL_LIMIT or (exp and abs(int(exp[1])) > _LITERAL_LIMIT):
+            raise ParseError(
+                f"weight literal longer than {_LITERAL_LIMIT} characters "
+                f"or with an exponent beyond {_LITERAL_LIMIT} in size",
+                line=line,
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad weight literal {text!r}", line=line) from None
+
+
 def parse_weight(text: str) -> Weight:
     """Exact nonnegative weight from a decimal or ``p/q`` literal."""
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad weight literal {text!r}") from None
-    return to_weight(value)
+    return to_weight(_literal_value(text))
 
 
 def _terminating_decimal(w: Fraction) -> str | None:
@@ -96,10 +115,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if key in edge_keys:
             raise DuplicateEdgeError(f"line {lineno}: edge {{{u!r},{v!r}}} given twice")
         edge_keys.add(key)
-        try:
-            w = Fraction(wtext)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight literal {wtext!r}", line=lineno) from None
+        w = _literal_value(wtext, lineno)
         declare(u)
         declare(v)
         edges.append((u, v, w))
@@ -169,13 +185,22 @@ def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
     raise ParseError(f"unknown matrix format {format!r}")
 
 
+def _newick_label(label: str) -> str:
+    """Label as Newick requires: single-quoted, quotes doubled, when it
+    holds whitespace or a Newick metacharacter; otherwise unchanged."""
+    if any(c.isspace() or c in "()[]':;," for c in label):
+        return "'" + label.replace("'", "''") + "'"
+    return label
+
+
 def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
     """Newick form of a dendrogram; leaf-to-leaf path length equals the
     ultrametric distance.
 
-    Branch lengths must terminate as decimals; otherwise pass
-    ``approx_digits`` to emit a rounded decimal annotated with the exact
-    ratio in a bracket comment.
+    Labels holding whitespace or one of ``()[]':;,`` are single-quoted,
+    with embedded quotes doubled. Branch lengths must terminate as
+    decimals; otherwise pass ``approx_digits`` to emit a rounded decimal
+    annotated with the exact ratio in a bracket comment.
     """
 
     def fmt(length: Fraction) -> str:
@@ -208,7 +233,7 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
         elif not isinstance(item, Dendrogram):
             out.append(":" + fmt(item))
         elif item.is_leaf():
-            out.append(str(item.label))
+            out.append(_newick_label(str(item.label)))
         else:
             kids = sorted(item.children, key=lambda ch: least[id(ch)])
             stack.append(")")

@@ -8,9 +8,12 @@ weighting, the usual min-sum path distance. Both are exact.
 
 Every matrix records the strongest axiom class its entries actually
 satisfy; the class is verified at construction, never assumed. The
-strong-triangle check runs on an order-isomorphic integer recoding of
-the entries so the heavy loop is vectorized while the verdict stays
-exact (recoding preserves all comparisons).
+min-sum layer runs on exact integers: the entries (or edge weights)
+times the lcm of their denominators, which preserves every comparison
+and every sum. Dijkstra, the plain-triangle check, the rank recoding
+and the betweenness exponent's ties use them. The strong-triangle check
+runs on the order-isomorphic rank recoding. Both checks are vectorized
+per middle vertex, and the verdicts stay exact.
 """
 
 from __future__ import annotations
@@ -126,33 +129,32 @@ class Verdict:
 PASS = Verdict(True)
 
 
-def _recode_ranks(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
-    """Integer matrix with the same comparison structure as ``rows``.
+def _integer_array(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
+    """The entries times the lcm of their denominators, as exact integers.
 
-    Sorting indices instead of hashing values keeps this cheap for
-    Fraction entries.
+    Positive scaling preserves every comparison and every sum, so the
+    array answers ``a < b`` and ``a > b + c`` exactly. It is int64 when
+    twice the largest entry fits (a sum of two entries cannot wrap), else
+    an object array of Python ints.
     """
-    n = len(rows)
-    flat = [rows[i][j] for i in range(n) for j in range(n)]
-    order = sorted(range(n * n), key=flat.__getitem__)
-    ranks = [0] * (n * n)
-    level = 0
-    prev = flat[order[0]] if order else None
-    for k in order:
-        if flat[k] != prev:
-            level += 1
-            prev = flat[k]
-        ranks[k] = level
-    return np.asarray(ranks, dtype=np.int32).reshape(n, n)
+    flat = [x for row in rows for x in row]
+    scale = math.lcm(*{x.denominator for x in flat})
+    ints = [x.numerator * (scale // x.denominator) for x in flat]
+    dtype = np.int64 if 2 * max(ints) < 2**63 else object
+    return np.array(ints, dtype=dtype).reshape(len(rows), len(rows))
 
 
-def _asymmetry_witness(rows) -> tuple[int, int] | None:
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return (i, j)
-    return None
+def _recode_ranks(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
+    """Dense integer ranks from 0 with the same comparison structure as ``rows``."""
+    d = _integer_array(rows)
+    _, inverse = np.unique(d.ravel(), return_inverse=True)
+    return inverse.astype(np.int32).reshape(d.shape)
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true cell in row-major order, else None."""
+    hits = np.argwhere(bad)
+    return tuple(map(int, hits[0])) if len(hits) else None
 
 
 def _diagonal_witness(rows) -> tuple[int] | None:
@@ -162,53 +164,35 @@ def _diagonal_witness(rows) -> tuple[int] | None:
     return None
 
 
-def _strong_triangle_witness(ranks: np.ndarray) -> tuple[int, int, int] | None:
-    """First (x, z, y) with d(x,y) > max(d(x,z), d(z,y)), else None."""
-    n = ranks.shape[0]
-    bound = np.empty_like(ranks)
-    bad = np.empty(ranks.shape, dtype=bool)
+def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | None:
+    """First (x, z, y) in z-x-y order with d(x,y) > bound_of(d(x,z), d(z,y))."""
+    n = d.shape[0]
+    bound = np.empty_like(d)
+    bad = np.empty(d.shape, dtype=bool)
     for z in range(n):
-        np.maximum.outer(ranks[:, z], ranks[z, :], out=bound)
-        np.greater(ranks, bound, out=bad)
+        bound_of.outer(d[:, z], d[z, :], out=bound)
+        np.greater(d, bound, out=bad)
         if bad.any():
-            x, y = np.argwhere(bad)[0]
-            return (int(x), z, int(y))
+            x, y = _first(bad)
+            return (x, z, y)
     return None
 
 
 def _triangle_witness(rows) -> tuple[int, int, int] | None:
     """First (x, z, y) with d(x,y) > d(x,z) + d(z,y), exact arithmetic."""
-    n = len(rows)
-    for z in range(n):
-        rz = rows[z]
-        for x in range(n):
-            rx = rows[x]
-            dxz = rx[z]
-            for y in range(n):
-                if rx[y] > dxz + rz[y]:
-                    return (x, z, y)
-    return None
+    return _scan_witness(_integer_array(rows), np.add)
 
 
 def _zero_offdiagonal_witness(ranks: np.ndarray) -> tuple[int, int] | None:
-    off = ranks.copy()
-    np.fill_diagonal(off, 1)
-    bad = off == 0
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
-        return (int(x), int(y))
-    return None
+    # Rank 0 is the value 0 once the diagonal is known to be zero.
+    return _first((ranks == 0) & ~np.eye(len(ranks), dtype=bool))
 
 
 def _classify(rows, ranks: np.ndarray) -> AxiomClass:
-    # Symmetry and constant diagonal are rank questions (the recoding
-    # preserves equality); only the diagonal's value needs one exact look.
-    diag = ranks.diagonal()
-    if not np.array_equal(ranks, ranks.T) or (diag != diag[0]).any():
+    # Symmetry is a rank question: the recoding preserves equality.
+    if not np.array_equal(ranks, ranks.T) or _diagonal_witness(rows):
         return AxiomClass.NONE
-    if rows[0][0] != 0:
-        return AxiomClass.NONE
-    strong = _strong_triangle_witness(ranks) is None
+    strong = _scan_witness(ranks, np.maximum) is None
     if not strong and _triangle_witness(rows) is not None:
         return AxiomClass.NONE
     positive = _zero_offdiagonal_witness(ranks) is None
@@ -250,34 +234,32 @@ def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
     off-diagonal pair.
     """
     rows = m.entries
-    names = m.vertices
-    w = _asymmetry_witness(rows)
+    ranks = m.rank_array()
+
+    def fail(kind: str, w: tuple[int, ...]) -> Verdict:
+        return Verdict(False, kind, tuple(m.vertices[i] for i in w))
+
+    # The recoding preserves equality, so symmetry is a rank question.
+    w = _first(np.triu(ranks != ranks.T))
     if w:
-        return Verdict(False, "asymmetry", (names[w[0]], names[w[1]]))
+        return fail("asymmetry", w)
     w = _diagonal_witness(rows)
     if w:
-        return Verdict(False, "nonzero-diagonal", (names[w[0]],))
+        return fail("nonzero-diagonal", w)
     if target is AxiomClass.NONE:
         return PASS
-    ranks = m.rank_array()
     if target in (AxiomClass.PSEUDOULTRAMETRIC, AxiomClass.ULTRAMETRIC):
-        w = _strong_triangle_witness(ranks)
+        w = _scan_witness(ranks, np.maximum)
         if w:
-            return Verdict(
-                False, "strong-triangle", (names[w[0]], names[w[1]], names[w[2]])
-            )
+            return fail("strong-triangle", w)
     else:
         w = _triangle_witness(rows)
         if w:
-            return Verdict(
-                False, "triangle", (names[w[0]], names[w[1]], names[w[2]])
-            )
+            return fail("triangle", w)
     if target in (AxiomClass.METRIC, AxiomClass.ULTRAMETRIC):
         w = _zero_offdiagonal_witness(ranks)
         if w:
-            return Verdict(
-                False, "zero-off-diagonal", (names[w[0]], names[w[1]])
-            )
+            return fail("zero-off-diagonal", w)
     return PASS
 
 
@@ -360,31 +342,33 @@ def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
     """Greatest pseudometric lying edgewise below the weighting.
 
     Min-sum path distance, computed exactly by Dijkstra from every
-    source (weights are nonnegative by construction).
+    source (weights are nonnegative by construction) on the weights
+    rescaled to integers by the lcm of their denominators.
     """
     _require_connected(g)
     verts = g.vertices
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    rows = [[Fraction(0)] * n for _ in range(n)]
-
-    for s in verts:
-        dist: dict[Vertex, Fraction] = {s: Fraction(0)}
-        done: set[Vertex] = set()
-        heap: list[tuple[Fraction, int, Vertex]] = [(Fraction(0), idx[s], s)]
+    # Integer edge lengths on a common denominator keep Dijkstra exact.
+    scale = math.lcm(*{w.denominator for _, _, w in g.weighted_edges()})
+    adj = [
+        [(idx[nb], int(g.weight(u, nb) * scale)) for nb in g.neighbors(u)]
+        for u in verts
+    ]
+    rows = []
+    for s in range(n):
+        dist = [math.inf] * n
+        dist[s] = 0
+        heap = [(0, s)]
         while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in done:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
                 continue
-            done.add(u)
-            for nb in g.neighbors(u):
-                cand = d + g.weight(u, nb)
-                if nb not in dist or cand < dist[nb]:
-                    dist[nb] = cand
-                    heapq.heappush(heap, (cand, idx[nb], nb))
-        srow = rows[idx[s]]
-        for v, d in dist.items():
-            srow[idx[v]] = d
+            for nb, k in adj[u]:
+                if d + k < dist[nb]:
+                    dist[nb] = d + k
+                    heapq.heappush(heap, (d + k, nb))
+        rows.append([Fraction(d, scale) for d in dist])
 
     return _finish(verts, rows, _recode_ranks(rows))
 
@@ -434,7 +418,7 @@ def quotient(m: DistanceMatrix) -> tuple[Partition, DistanceMatrix]:
     return Partition(tuple(map(tuple, blocks.values()))), distance_matrix(names, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Dendrogram:
     """Merge tree of an ultrametric: distance = 2 x height of the
     lowest common ancestor.
@@ -466,6 +450,35 @@ class Dendrogram:
 
     def min_leaf(self) -> Vertex:
         return min(self.leaves())
+
+    # Equality, hash and the dataclass repr without recursion, so that
+    # trees of any depth work. The preorder of (height, label, child
+    # count) triples determines the tree.
+    def _key(self) -> tuple:
+        return tuple((n.height, n.label, len(n.children)) for n in self._preorder())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            kids = item.children
+            out.append(f"{type(item).__qualname__}(height={item.height!r}, children=(")
+            stack.append(("," if len(kids) == 1 else "") + f"), label={item.label!r})")
+            for k in reversed(range(len(kids))):
+                stack += [kids[k], ", "] if k else [kids[k]]
+        return "".join(out)
 
 
 def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
@@ -575,7 +588,9 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
         raise NotPseudometricError(
             f"matrix class is {m.axiom_class.value}, need at least pseudometric"
         )
-    rows = m.entries
+    # Rescaled integers keep the ties exact, and int / int rounds
+    # correctly, giving the same floats as the Fraction ratios.
+    rows = _integer_array(m.entries).tolist()
     best = INFINITE_EXPONENT
     n = len(m.vertices)
     for i, j, k in combinations(range(n), 3):
@@ -584,7 +599,7 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
             continue
         if a == b + c:
             return 1.0
-        r1, r2 = float(b / a), float(c / a)
+        r1, r2 = b / a, c / a
         if r1 >= 1.0:
             # b < a exactly but b/a rounds to 1.0; the root for this
             # triple sits beyond float pow resolution, so it cannot be

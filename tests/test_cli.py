@@ -98,6 +98,13 @@ class TestMatrices:
         assert (code, err) == (0, "")
         assert out == expected + ";\n"
 
+    def test_newick_quotes_metacharacter_labels(self, cli):
+        code, out, err = cli(
+            ["subdominant", "--format", "newick"], "a:1 b(2) 1\nb(2) c;x 2\n"
+        )
+        assert (code, err) == (0, "")
+        assert out == "(('a:1':0.5,'b(2)':0.5):0.5,'c;x':1);\n"
+
     def test_shortest_json(self, cli):
         code, out, _ = cli(["shortest"], TRIANGLE_123)
         assert code == 0
@@ -283,6 +290,13 @@ class TestInputHandling:
         code, out, err = cli(["check"], "")
         assert code == 2
         assert err.startswith("parse-error:")
+
+    def test_oversized_weight_literal(self, cli):
+        for text in ["a b 1e5000\nb c 1\n", "a b 1\nb c " + "9" * 5000 + "\n"]:
+            code, out, err = cli(["subdominant"], text)
+            assert (code, out) == (2, "")
+            assert err.startswith("parse-error: line ")
+            assert err.count("\n") == 1
 
     def assert_unreadable(self, result):
         code, out, err = result

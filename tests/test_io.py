@@ -27,6 +27,23 @@ class TestParseWeight:
         with pytest.raises(ug.NegativeWeightError):
             ug.parse_weight("-2")
 
+    def test_size_caps(self):
+        # Exponents and lengths just past the cap are refused before any
+        # Fraction is built; the cap itself still parses.
+        assert ug.parse_weight("1e1000") == 10**1000
+        assert ug.parse_weight("1e-1000") == Fraction(1, 10**1000)
+        assert ug.parse_weight("0." + "1" * 998) > 0
+        for text in ["1e1001", "1e-1001", "2E+1001", "1e1_001", "1" * 1001]:
+            with pytest.raises(ug.ParseError):
+                ug.parse_weight(text)
+
+    def test_edge_list_shares_the_caps(self):
+        for text in ["1e1001", "1e-1001", "1" * 1001]:
+            with pytest.raises(ug.ParseError, match="line 2"):
+                ug.parse_edge_list(f"a b 1\nb c {text}\n")
+        g = ug.parse_edge_list("a b 1e1000\nb c 1\n")
+        assert g.weight("a", "b") == 10**1000
+
 
 class TestFormatWeight:
     def test_integers(self):
@@ -225,6 +242,12 @@ class TestNewick:
         d = ug.dendrogram(m)
         out = ug.emit_newick(d, approx_digits=6)
         assert out == "(a:0.333333[1/3],b:0.333333[1/3]);"
+
+    def test_metacharacter_labels_are_quoted(self):
+        m = ug.distance_matrix(
+            ["it's", "a b", "plain"], [[0, 2, 4], [2, 0, 4], [4, 4, 0]]
+        )
+        assert ug.emit_newick(ug.dendrogram(m)) == "(('a b':1,'it''s':1):1,plain:2);"
 
     def test_multiway_node(self):
         m = ug.distance_matrix(

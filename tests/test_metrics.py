@@ -3,6 +3,8 @@ quotients, dendrograms and the betweenness exponent."""
 
 import math
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
@@ -336,6 +338,44 @@ class TestDendrogram:
         back = ug.matrix_from_dendrogram(ug.dendrogram(m))
         assert set(back.vertices) == {"a", "b"}
         assert back.entry("a", "b") == 3
+
+    def test_eq_hash_repr_match_the_dataclass_forms(self):
+        # The dataclass-generated methods, the reference for the
+        # non-recursive ones.
+        @dataclass(frozen=True)
+        class Dendrogram:
+            height: Fraction
+            children: tuple
+            label: str | None = None
+
+        Dendrogram.__qualname__ = "Dendrogram"
+
+        def plain(d):
+            return Dendrogram(d.height, tuple(map(plain, d.children)), d.label)
+
+        rng = random.Random(5)
+        for _ in range(15):
+            names = [f"v{i}" for i in range(rng.randint(1, 8))]
+            d = ug.dendrogram(random_ultrametric(rng, names))
+            assert repr(d) == repr(plain(d))
+            twin = ug.dendrogram(random_ultrametric(rng, names))
+            assert (d == twin) == (plain(d) == plain(twin))
+            copy = ug.Dendrogram(d.height, d.children, d.label)
+            assert d == copy and hash(d) == hash(copy)
+        assert ug.dendrogram(mat(["a"], (0,))) != "a"
+
+    def test_deep_tree_compares_hashes_and_prints(self):
+        n = 1500
+        assert sys.getrecursionlimit() < n
+        edges = [(f"v{k - 1}", f"v{k}", k) for k in range(1, n)]
+        g = ug.build_graph([f"v{k}" for k in range(n)], edges)
+        d, d2 = ug.subdominant_dendrogram(g), ug.subdominant_dendrogram(g)
+        assert d is not d2 and d == d2 and hash(d) == hash(d2)
+        assert repr(d) == repr(d2)
+        assert repr(d).count("Dendrogram(") == 2 * n - 1
+        edges[-1] = ("v1498", "v1499", n)
+        other = ug.subdominant_dendrogram(ug.build_graph(g.vertices, edges))
+        assert d != other
 
     def test_from_dendrogram_rejects_bad_leaf_set(self):
         m = mat(["a", "b"], (0, 3), (3, 0))

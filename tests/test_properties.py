@@ -6,11 +6,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import ultragraph as ug
-from ultragraph import AxiomClass, PartialOrderResult, oracle
+from ultragraph import AxiomClass, PartialOrderResult, Verdict, oracle
+from ultragraph.metrics import _integer_array, _recode_ranks, _triangle_witness
 
 from corpus import disjoint_union, random_connected_graph, random_ultrametric
 
@@ -263,3 +265,144 @@ def test_unique_extension_criterion_from_first_principles(g):
     tm = oracle.oracle_twice_max(g)
     wch = ug.well_chained_pairs(g)
     assert ug.is_unique_extension(g) == tm.issubset(wch)
+
+
+# The exact integer kernel under the min-sum layer, against the pure
+# Fraction loops it replaced.
+
+
+def reference_triangle_witness(rows):
+    n = len(rows)
+    for z in range(n):
+        for x in range(n):
+            for y in range(n):
+                if rows[x][y] > rows[x][z] + rows[z][y]:
+                    return (x, z, y)
+    return None
+
+
+def reference_recode_ranks(rows):
+    n = len(rows)
+    flat = [rows[i][j] for i in range(n) for j in range(n)]
+    order = sorted(range(n * n), key=flat.__getitem__)
+    ranks = [0] * (n * n)
+    level = 0
+    prev = flat[order[0]]
+    for k in order:
+        if flat[k] != prev:
+            level += 1
+            prev = flat[k]
+        ranks[k] = level
+    return np.asarray(ranks, dtype=np.int32).reshape(n, n)
+
+
+def reference_validate(m, target):
+    rows, names = m.entries, m.vertices
+    n = len(rows)
+    for i, j in combinations(range(n), 2):
+        if rows[i][j] != rows[j][i]:
+            return Verdict(False, "asymmetry", (names[i], names[j]))
+    for i in range(n):
+        if rows[i][i] != 0:
+            return Verdict(False, "nonzero-diagonal", (names[i],))
+    w = reference_triangle_witness(rows)
+    if w:
+        return Verdict(False, "triangle", tuple(names[k] for k in w))
+    if target is AxiomClass.METRIC:
+        for i in range(n):
+            for j in range(n):
+                if i != j and rows[i][j] == 0:
+                    return Verdict(False, "zero-off-diagonal", (names[i], names[j]))
+    return ug.PASS
+
+
+def floyd_warshall(g):
+    n = len(g.vertices)
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    d = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for u, v, w in g.weighted_edges():
+        d[idx[u]][idx[v]] = d[idx[v]][idx[u]] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] is None or d[k][j] is None:
+                    continue
+                if d[i][j] is None or d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+# Small pools make ties and tight triangles common; coprime denominators
+# make the lcm grow; entries from 2**62 up force the object dtype.
+ENTRIES = st.one_of(
+    st.sampled_from([Fraction(k, q) for k in range(4) for q in (1, 2, 3, 5, 7)]),
+    st.fractions(min_value=0, max_value=20, max_denominator=40),
+    st.integers(2**62, 2**66).map(Fraction),
+    st.builds(Fraction, st.integers(2**62, 2**66), st.sampled_from([3, 11, 13])),
+)
+
+
+@st.composite
+def square_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    rows = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i, j in combinations(range(n), 2):
+            rows[j][i] = rows[i][j]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    return rows
+
+
+def test_integer_array_switches_dtype_where_a_sum_could_wrap():
+    assert _integer_array([[Fraction(2**62 - 1)]]).dtype == np.int64
+    assert _integer_array([[Fraction(2**62)]]).dtype == object
+    big = _integer_array([[Fraction(1, 2), Fraction(2**62, 3)]] * 2)
+    assert big.dtype == object and big.tolist()[0] == [3, 2**63]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_triangle_witness_matches_fraction_loop(rows):
+    assert _triangle_witness(rows) == reference_triangle_witness(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_recode_ranks_matches_sort_based_recoding(rows):
+    got, want = _recode_ranks(rows), reference_recode_ranks(rows)
+    assert got.dtype == want.dtype == np.int32
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.sampled_from([AxiomClass.PSEUDOMETRIC, AxiomClass.METRIC]))
+def test_validate_triangle_witness_matches_reference(rows, target):
+    m = ug.distance_matrix([f"v{i}" for i in range(len(rows))], rows)
+    assert ug.validate(m, target) == reference_validate(m, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_graphs())
+def test_shortest_path_matrix_matches_floyd_warshall(g):
+    m = ug.shortest_path_matrix(g)
+    d = floyd_warshall(g)
+    assert m.entries == tuple(map(tuple, d))
+    assert np.array_equal(m.rank_array(), reference_recode_ranks(d))
+    assert ug.validate(m, AxiomClass.PSEUDOMETRIC) == reference_validate(
+        m, AxiomClass.PSEUDOMETRIC
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus_graphs(), st.sampled_from([Fraction(1, 3), Fraction(7), Fraction(2**70, 9)])
+)
+def test_exponent_does_not_depend_on_scale_or_dtype(g, factor):
+    # int / int rounds correctly, so rescaling the entries, and crossing
+    # into the object dtype, leaves every ratio's float unchanged.
+    m = ug.shortest_path_matrix(g)
+    rows = [[x * factor for x in r] for r in m.entries]
+    scaled = ug.distance_matrix(m.vertices, rows)
+    assert ug.betweenness_exponent(scaled) == ug.betweenness_exponent(m)
