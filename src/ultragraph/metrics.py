@@ -10,10 +10,12 @@ Every matrix records the strongest axiom class its entries actually
 satisfy; the class is verified at construction, never assumed. The
 min-sum layer runs on exact integers: the entries (or edge weights)
 times the lcm of their denominators, which preserves every comparison
-and every sum. Dijkstra, the plain-triangle check, the rank recoding
-and the betweenness exponent's ties use them. The strong-triangle check
-runs on the order-isomorphic rank recoding. Both checks are vectorized
-per middle vertex, and the verdicts stay exact.
+and every sum; only when coprime denominators make that lcm wider than
+``_SCALE_BITS`` do the Fractions stand for themselves. Dijkstra, the
+plain-triangle check, the rank recoding, ``compare`` and the betweenness
+exponent's ties use them. The strong-triangle check runs on the
+order-isomorphic rank recoding. Both checks are vectorized per middle
+vertex, and the verdicts stay exact.
 """
 
 from __future__ import annotations
@@ -129,24 +131,44 @@ class Verdict:
 PASS = Verdict(True)
 
 
-def _integer_array(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
-    """The entries times the lcm of their denominators, as exact integers.
+# Widest lcm the min-sum layer rescales by. Coprime denominators can make
+# the lcm as wide as all of them together, and every rescaled entry with
+# it; up to this width an integer is about the size of a Fraction entry,
+# past it the Fractions stand for themselves.
+_SCALE_BITS = 1024
 
-    Positive scaling preserves every comparison and every sum, so the
-    array answers ``a < b`` and ``a > b + c`` exactly. It is int64 when
-    twice the largest entry fits (a sum of two entries cannot wrap), else
-    an object array of Python ints.
+
+def _rescale(values: Sequence[Weight]) -> tuple[list, int | None]:
+    """Exact stand-ins for ``values`` and their scale.
+
+    The stand-ins are the values times the lcm of their denominators,
+    which preserves every comparison and every sum, and the scale is that
+    lcm; when it is wider than ``_SCALE_BITS``, the values stand for
+    themselves and the scale is None.
     """
+    scale = 1
+    for q in {x.denominator for x in values}:
+        scale = math.lcm(scale, q)
+        if scale.bit_length() > _SCALE_BITS:
+            return list(values), None
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _as_array(values: list, scale: int | None) -> np.ndarray:
+    """int64 when the stand-ins are integers and twice the largest fits (a
+    sum of two cannot wrap), else an object array of them."""
+    narrow = scale is not None and 2 * max(values) < 2**63
+    return np.array(values, dtype=np.int64 if narrow else object)
+
+
+def _exact_array(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
+    """Exact stand-ins for the entries, one array row per row."""
     flat = [x for row in rows for x in row]
-    scale = math.lcm(*{x.denominator for x in flat})
-    ints = [x.numerator * (scale // x.denominator) for x in flat]
-    dtype = np.int64 if 2 * max(ints) < 2**63 else object
-    return np.array(ints, dtype=dtype).reshape(len(rows), len(rows))
+    return _as_array(*_rescale(flat)).reshape(len(rows), -1)
 
 
-def _recode_ranks(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
-    """Dense integer ranks from 0 with the same comparison structure as ``rows``."""
-    d = _integer_array(rows)
+def _recode_ranks(d: np.ndarray) -> np.ndarray:
+    """Dense integer ranks from 0 with the same comparison structure as ``d``."""
     _, inverse = np.unique(d.ravel(), return_inverse=True)
     return inverse.astype(np.int32).reshape(d.shape)
 
@@ -178,22 +200,17 @@ def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | N
     return None
 
 
-def _triangle_witness(rows) -> tuple[int, int, int] | None:
-    """First (x, z, y) with d(x,y) > d(x,z) + d(z,y), exact arithmetic."""
-    return _scan_witness(_integer_array(rows), np.add)
-
-
 def _zero_offdiagonal_witness(ranks: np.ndarray) -> tuple[int, int] | None:
     # Rank 0 is the value 0 once the diagonal is known to be zero.
     return _first((ranks == 0) & ~np.eye(len(ranks), dtype=bool))
 
 
-def _classify(rows, ranks: np.ndarray) -> AxiomClass:
+def _classify(d: np.ndarray, ranks: np.ndarray) -> AxiomClass:
     # Symmetry is a rank question: the recoding preserves equality.
-    if not np.array_equal(ranks, ranks.T) or _diagonal_witness(rows):
+    if not np.array_equal(ranks, ranks.T) or _diagonal_witness(d):
         return AxiomClass.NONE
     strong = _scan_witness(ranks, np.maximum) is None
-    if not strong and _triangle_witness(rows) is not None:
+    if not strong and _scan_witness(d, np.add) is not None:
         return AxiomClass.NONE
     positive = _zero_offdiagonal_witness(ranks) is None
     if strong:
@@ -201,8 +218,11 @@ def _classify(rows, ranks: np.ndarray) -> AxiomClass:
     return AxiomClass.METRIC if positive else AxiomClass.PSEUDOMETRIC
 
 
-def _finish(vertices: tuple[Vertex, ...], rows, ranks: np.ndarray) -> DistanceMatrix:
-    cls = _classify(rows, ranks)
+def _finish(vertices: tuple[Vertex, ...], rows, d: np.ndarray, ranks=None):
+    """Matrix of ``rows``, classified on their exact array ``d``."""
+    if ranks is None:
+        ranks = _recode_ranks(d)
+    cls = _classify(d, ranks)
     entries = tuple(tuple(row) for row in rows)
     ranks.flags.writeable = False
     index = {v: i for i, v in enumerate(vertices)}
@@ -223,7 +243,7 @@ def distance_matrix(vertices: Sequence[Vertex], entries) -> DistanceMatrix:
     rows = [[to_weight(x) for x in row] for row in entries]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise VertexMismatchError(f"entries must form a {n}x{n} square")
-    return _finish(verts, rows, _recode_ranks(rows))
+    return _finish(verts, rows, _exact_array(rows))
 
 
 def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
@@ -253,7 +273,7 @@ def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
         if w:
             return fail("strong-triangle", w)
     else:
-        w = _triangle_witness(rows)
+        w = _scan_witness(_exact_array(rows), np.add)
         if w:
             return fail("triangle", w)
     if target in (AxiomClass.METRIC, AxiomClass.ULTRAMETRIC):
@@ -334,32 +354,33 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
             ranks[np.asarray(a)[:, None], b] = len(weights) - 1
             ranks[np.asarray(b)[:, None], a] = len(weights) - 1
     values = np.asarray(weights, dtype=object)[ranks]
-
-    return _finish(g.vertices, values.tolist(), ranks)
+    d = _as_array(*_rescale(weights))[ranks]
+    return _finish(g.vertices, values.tolist(), d, ranks)
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
     """Greatest pseudometric lying edgewise below the weighting.
 
     Min-sum path distance, computed exactly by Dijkstra from every
-    source (weights are nonnegative by construction) on the weights
-    rescaled to integers by the lcm of their denominators.
+    source (weights are nonnegative by construction) on the weights'
+    exact stand-ins from ``_rescale``.
     """
     _require_connected(g)
     verts = g.vertices
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    # Integer edge lengths on a common denominator keep Dijkstra exact.
-    scale = math.lcm(*{w.denominator for _, _, w in g.weighted_edges()})
-    adj = [
-        [(idx[nb], int(g.weight(u, nb) * scale)) for nb in g.neighbors(u)]
-        for u in verts
-    ]
-    rows = []
+    # Exact stand-ins for the weights (integers on a common denominator
+    # unless that is too wide) keep Dijkstra exact.
+    weights = list({w for _, _, w in g.weighted_edges()})
+    lengths, scale = _rescale(weights)
+    length = dict(zip(weights, lengths))
+    adj = [[(idx[nb], length[g.weight(u, nb)]) for nb in g.neighbors(u)] for u in verts]
+    zero = Fraction(0) if scale is None else 0
+    flat: list = []
     for s in range(n):
         dist = [math.inf] * n
-        dist[s] = 0
-        heap = [(0, s)]
+        dist[s] = zero
+        heap = [(zero, s)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
@@ -368,24 +389,24 @@ def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
                 if d + k < dist[nb]:
                     dist[nb] = d + k
                     heapq.heappush(heap, (d + k, nb))
-        rows.append([Fraction(d, scale) for d in dist])
-
-    return _finish(verts, rows, _recode_ranks(rows))
+        flat += dist
+    d = _as_array(flat, scale).reshape(n, n)
+    if scale is not None:  # back to Fractions, one per distinct distance
+        exact = {x: Fraction(x, scale) for x in set(flat)}
+        flat = [exact[x] for x in flat]
+    return _finish(verts, [flat[i : i + n] for i in range(0, n * n, n)], d)
 
 
 def compare(m1: DistanceMatrix, m2: DistanceMatrix) -> PartialOrderResult:
     """Entrywise comparison under the usual partial order on distances."""
     if m1.vertices != m2.vertices:
         raise VertexMismatchError("matrices are over different vertex lists")
-    le = ge = True
     n = len(m1.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = m1.entries[i][j], m2.entries[i][j]
-            if a < b:
-                ge = False
-            elif a > b:
-                le = False
+    # One exact array over both matrices puts their entries on one scale.
+    d = _exact_array(m1.entries + m2.entries)
+    upper = np.triu_indices(n, 1)
+    a, b = d[:n][upper], d[n:][upper]
+    le, ge = bool((a <= b).all()), bool((a >= b).all())
     if le and ge:
         return PartialOrderResult.EQUAL
     if le:
@@ -588,9 +609,9 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
         raise NotPseudometricError(
             f"matrix class is {m.axiom_class.value}, need at least pseudometric"
         )
-    # Rescaled integers keep the ties exact, and int / int rounds
-    # correctly, giving the same floats as the Fraction ratios.
-    rows = _integer_array(m.entries).tolist()
+    # The exact stand-ins keep the ties exact, and both int / int and a
+    # Fraction ratio round correctly, giving the floats of the entries' ratios.
+    rows = _exact_array(m.entries).tolist()
     best = INFINITE_EXPONENT
     n = len(m.vertices)
     for i, j, k in combinations(range(n), 3):
@@ -599,7 +620,7 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
             continue
         if a == b + c:
             return 1.0
-        r1, r2 = b / a, c / a
+        r1, r2 = float(b / a), float(c / a)
         if r1 >= 1.0:
             # b < a exactly but b/a rounds to 1.0; the root for this
             # triple sits beyond float pow resolution, so it cannot be

@@ -2,8 +2,10 @@
 brute-force oracles and against each other."""
 
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 import ultragraph as ug
-from ultragraph import AxiomClass, PartialOrderResult, Verdict, oracle
-from ultragraph.metrics import _integer_array, _recode_ranks, _triangle_witness
+from ultragraph import AxiomClass, PartialOrderResult, Verdict, metrics, oracle
+from ultragraph.metrics import _exact_array, _recode_ranks, _scan_witness
 
 from corpus import disjoint_union, random_connected_graph, random_ultrametric
 
@@ -267,8 +269,13 @@ def test_unique_extension_criterion_from_first_principles(g):
     assert ug.is_unique_extension(g) == tm.issubset(wch)
 
 
-# The exact integer kernel under the min-sum layer, against the pure
-# Fraction loops it replaced.
+# The exact kernel under the min-sum layer, against the pure Fraction
+# loops it replaced. ``wide`` runs it on the Fraction stand-ins it keeps
+# when the lcm of the denominators is too wide to rescale by.
+
+
+def stand_ins(wide):
+    return mock.patch.object(metrics, "_SCALE_BITS", 0) if wide else nullcontext()
 
 
 def reference_triangle_witness(rows):
@@ -333,12 +340,14 @@ def floyd_warshall(g):
 
 
 # Small pools make ties and tight triangles common; coprime denominators
-# make the lcm grow; entries from 2**62 up force the object dtype.
+# make the lcm grow, past _SCALE_BITS with the 300-bit ones; entries from
+# 2**62 up force the object dtype.
 ENTRIES = st.one_of(
     st.sampled_from([Fraction(k, q) for k in range(4) for q in (1, 2, 3, 5, 7)]),
     st.fractions(min_value=0, max_value=20, max_denominator=40),
     st.integers(2**62, 2**66).map(Fraction),
     st.builds(Fraction, st.integers(2**62, 2**66), st.sampled_from([3, 11, 13])),
+    st.builds(Fraction, st.integers(0, 2**302), st.integers(2**300, 2**301)),
 )
 
 
@@ -355,44 +364,93 @@ def square_matrices(draw, max_n=6):
     return rows
 
 
-def test_integer_array_switches_dtype_where_a_sum_could_wrap():
-    assert _integer_array([[Fraction(2**62 - 1)]]).dtype == np.int64
-    assert _integer_array([[Fraction(2**62)]]).dtype == object
-    big = _integer_array([[Fraction(1, 2), Fraction(2**62, 3)]] * 2)
+def test_exact_array_switches_dtype_where_a_sum_could_wrap():
+    assert _exact_array([[Fraction(2**62 - 1)]]).dtype == np.int64
+    assert _exact_array([[Fraction(2**62)]]).dtype == object
+    big = _exact_array([[Fraction(1, 2), Fraction(2**62, 3)]] * 2)
     assert big.dtype == object and big.tolist()[0] == [3, 2**63]
 
 
+def test_exact_array_keeps_fractions_past_the_scale_width():
+    # 2**k + 1 and 2**k + 3 are coprime, so their lcm has about 2k bits.
+    narrow = [Fraction(1, 2**500 + 1), Fraction(1, 2**500 + 3)]
+    assert _exact_array([narrow] * 2).tolist()[0] == [2**500 + 3, 2**500 + 1]
+    wide = [Fraction(1, 2**600 + 1), Fraction(1, 2**600 + 3)]
+    assert _exact_array([wide] * 2).tolist()[0] == wide
+    g = ug.build_graph("abc", [("a", "b", wide[0]), ("b", "c", wide[1])])
+    m = ug.shortest_path_matrix(g)
+    assert m.entries == tuple(map(tuple, floyd_warshall(g)))
+    assert m.axiom_class is AxiomClass.METRIC
+
+
 @settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_triangle_witness_matches_fraction_loop(rows):
-    assert _triangle_witness(rows) == reference_triangle_witness(rows)
+@given(square_matrices(), st.booleans())
+def test_triangle_witness_matches_fraction_loop(rows, wide):
+    with stand_ins(wide):
+        got = _scan_witness(_exact_array(rows), np.add)
+    assert got == reference_triangle_witness(rows)
 
 
 @settings(max_examples=200, deadline=None)
-@given(square_matrices())
-def test_recode_ranks_matches_sort_based_recoding(rows):
-    got, want = _recode_ranks(rows), reference_recode_ranks(rows)
+@given(square_matrices(), st.booleans())
+def test_recode_ranks_matches_sort_based_recoding(rows, wide):
+    with stand_ins(wide):
+        got = _recode_ranks(_exact_array(rows))
+    want = reference_recode_ranks(rows)
     assert got.dtype == want.dtype == np.int32
     assert np.array_equal(got, want)
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_matrices(), st.sampled_from([AxiomClass.PSEUDOMETRIC, AxiomClass.METRIC]))
-def test_validate_triangle_witness_matches_reference(rows, target):
-    m = ug.distance_matrix([f"v{i}" for i in range(len(rows))], rows)
-    assert ug.validate(m, target) == reference_validate(m, target)
+@given(
+    square_matrices(),
+    st.sampled_from([AxiomClass.PSEUDOMETRIC, AxiomClass.METRIC]),
+    st.booleans(),
+)
+def test_validate_triangle_witness_matches_reference(rows, target, wide):
+    with stand_ins(wide):
+        m = ug.distance_matrix([f"v{i}" for i in range(len(rows))], rows)
+        got = ug.validate(m, target)
+    assert got == reference_validate(m, target)
 
 
 @settings(max_examples=100, deadline=None)
-@given(corpus_graphs())
-def test_shortest_path_matrix_matches_floyd_warshall(g):
-    m = ug.shortest_path_matrix(g)
+@given(corpus_graphs(), st.booleans())
+def test_shortest_path_matrix_matches_floyd_warshall(g, wide):
+    with stand_ins(wide):
+        m = ug.shortest_path_matrix(g)
+        verdict = ug.validate(m, AxiomClass.PSEUDOMETRIC)
     d = floyd_warshall(g)
     assert m.entries == tuple(map(tuple, d))
     assert np.array_equal(m.rank_array(), reference_recode_ranks(d))
-    assert ug.validate(m, AxiomClass.PSEUDOMETRIC) == reference_validate(
-        m, AxiomClass.PSEUDOMETRIC
-    )
+    assert verdict == reference_validate(m, AxiomClass.PSEUDOMETRIC)
+
+
+def reference_compare(m1, m2):
+    pairs = [(m1.entries[i][j], m2.entries[i][j]) for i, j in combinations(range(len(m1)), 2)]
+    le, ge = all(a <= b for a, b in pairs), all(a >= b for a, b in pairs)
+    if le and ge:
+        return PartialOrderResult.EQUAL
+    if le or ge:
+        return PartialOrderResult.FIRST_LESS if le else PartialOrderResult.SECOND_LESS
+    return PartialOrderResult.INCOMPARABLE
+
+
+DELTAS = [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2**300 + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(), st.data(), st.booleans())
+def test_compare_matches_entrywise_reference(rows, data, wide):
+    # The second matrix moves some entries of the first up or down, so all
+    # four outcomes occur; the two share no common denominator.
+    n = len(rows)
+    names = [f"v{i}" for i in range(n)]
+    moved = [[max(Fraction(0), x + data.draw(st.sampled_from(DELTAS))) for x in r] for r in rows]
+    with stand_ins(wide):
+        m1, m2 = ug.distance_matrix(names, rows), ug.distance_matrix(names, moved)
+        got = ug.compare(m1, m2), ug.compare(m2, m1)
+    assert got == (reference_compare(m1, m2), reference_compare(m2, m1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,9 +458,12 @@ def test_shortest_path_matrix_matches_floyd_warshall(g):
     corpus_graphs(), st.sampled_from([Fraction(1, 3), Fraction(7), Fraction(2**70, 9)])
 )
 def test_exponent_does_not_depend_on_scale_or_dtype(g, factor):
-    # int / int rounds correctly, so rescaling the entries, and crossing
-    # into the object dtype, leaves every ratio's float unchanged.
+    # int / int and Fraction ratios round correctly, so rescaling the
+    # entries, crossing into the object dtype or keeping the Fractions
+    # leaves every ratio's float unchanged.
     m = ug.shortest_path_matrix(g)
     rows = [[x * factor for x in r] for r in m.entries]
     scaled = ug.distance_matrix(m.vertices, rows)
     assert ug.betweenness_exponent(scaled) == ug.betweenness_exponent(m)
+    with stand_ins(True):
+        assert ug.betweenness_exponent(m) == ug.betweenness_exponent(scaled)
