@@ -47,6 +47,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage-error: {message}\n")
 
 
+def _digit_count(text: str) -> int:
+    """``--approx-digits``: 0 to 1,000 digits, the bound on weight literals."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if not 0 <= digits <= 1000:
+        raise argparse.ArgumentTypeError(f"expected 0 to 1000 digits, got {text!r}")
+    return digits
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``: a positive finite number."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
+    return tol
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ultragraph",
@@ -85,7 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["json", "csv", "newick"], default="json")
     p.add_argument(
         "--approx-digits",
-        type=int,
+        type=_digit_count,
         default=None,
         help="allow rounded newick branch lengths with this many digits",
     )
@@ -142,7 +166,7 @@ def _build_parser() -> _Parser:
             "metric; 'infinite' exactly when it is a pseudoultrametric"
         ),
     )
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = sub.add_parser(
         "augment",

@@ -122,6 +122,12 @@ class ParseError(UltragraphError):
         super().__init__(message)
 
 
+class DigitLimitError(UltragraphError):
+    """A value has more digits than the interpreter converts to text."""
+
+    code = "digit-limit"
+
+
 class InexactDecimalError(UltragraphError):
     """A value has no terminating decimal form and no approximation was allowed."""
 

@@ -8,12 +8,15 @@ is a connectivity question in a threshold subgraph.
 
 For the least extension on complete multipartite graphs we need, per
 nonadjacent pair, whether some connecting path has a unique maximal
-edge. Pair {p,q} has such a path through edge e = {x,y} iff the strictly
-lighter subgraph contains two vertex-disjoint paths from {p,q} to
-{x,y} (their concatenation through e is then simple, and e dominates).
-Mere membership of p and q in the components of x and y is not enough
-when those components coincide, so the test runs a tiny unit-capacity
-flow; distinct components remain as a fast path.
+edge. With H the strictly lighter subgraph, pair {p,q} has such a path
+through edge e = {x,y} iff H + e has a simple p-q path through e. If e
+joins two components of H, it is a bridge of H + e, and p and q must lie
+one in each. Otherwise e merges the blocks on the x-y path of H's
+block-cut forest into one block, and an edge of a block lies on a simple
+p-q path iff the block lies on the forest path from p to q. So one
+forest per weight level decides every pair: mark the blocks on each
+same-component edge's x-y path; a pair in one component is hit iff its
+forest path meets a marked block.
 """
 
 from __future__ import annotations
@@ -120,56 +123,46 @@ def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     return subdominant_matrix(g)
 
 
-def _two_vertex_disjoint_paths(
-    h: WeightedGraph, p: Vertex, q: Vertex, x: Vertex, y: Vertex
-) -> bool:
-    """Two vertex-disjoint paths from {p,q} onto {x,y} in h?
+def _block_forest(adj: list[list[int]]):
+    """Block-vertex forest of index adjacency lists, by iterative Hopcroft–Tarjan.
 
-    Unit-vertex-capacity max flow with node splitting; either pairing of
-    sources to sinks is acceptable, which the flow formulation gives for
-    free. At most two augmenting passes.
+    Nodes ``0..n-1`` are the vertices, then one node per block, whose
+    parent is the vertex the search entered it from. Returns each
+    vertex's component root, each node's parent (-1 at roots), the
+    vertices in discovery order, and node keys that grow from parent to child.
     """
-    cap: dict[object, dict[object, int]] = {}
-
-    def arc(a: object, b: object) -> None:
-        cap.setdefault(a, {})[b] = 1
-        cap.setdefault(b, {}).setdefault(a, 0)
-
-    for v in h.vertices:
-        arc(("i", v), ("o", v))
-    for a, b in h.edges:
-        arc(("o", a), ("i", b))
-        arc(("o", b), ("i", a))
-    for s in (p, q):
-        arc("S", ("i", s))
-    for t in (x, y):
-        arc(("o", t), "T")
-
-    flow = 0
-    for _ in range(2):
-        prev: dict[object, object] = {"S": "S"}
-        queue: list[object] = ["S"]
-        reached = False
-        for node in queue:
-            for nxt, c in cap[node].items():
-                if c > 0 and nxt not in prev:
-                    prev[nxt] = node
-                    if nxt == "T":
-                        reached = True
-                        break
-                    queue.append(nxt)
-            if reached:
-                break
-        if not reached:
-            break
-        node = "T"
-        while node != "S":
-            back = prev[node]
-            cap[back][node] -= 1
-            cap[node][back] += 1
-            node = back
-        flow += 1
-    return flow >= 2
+    n = len(adj)
+    disc, low, root, parent = [-1] * n, [0] * n, list(range(n)), [-1] * n
+    order: list[int] = []
+    for r in range(n):
+        if disc[r] >= 0:
+            continue
+        disc[r] = low[r] = len(order)
+        order.append(r)
+        stack, work = [r], [(r, iter(adj[r]))]
+        while work:
+            u, nbs = work[-1]
+            v = next(nbs, -1)
+            if v < 0:
+                work.pop()
+                if not work:
+                    continue
+                pu = work[-1][0]
+                low[pu] = min(low[pu], low[u])
+                if low[u] >= disc[pu]:  # pu and u's subtree form a block
+                    parent.append(pu)
+                    while disc[stack[-1]] >= disc[u]:
+                        parent[stack.pop()] = len(parent) - 1
+            elif disc[v] < 0:
+                disc[v] = low[v] = len(order)
+                order.append(v)
+                root[v] = r
+                stack.append(v)
+                work.append((v, iter(adj[v])))
+            else:
+                low[u] = min(low[u], disc[v])
+    key = [2 * d for d in disc] + [2 * disc[u] + 1 for u in parent[n:]]
+    return root, parent, order, key
 
 
 def _twice_max_analysis(
@@ -177,56 +170,68 @@ def _twice_max_analysis(
 ) -> tuple[PairSet, dict[Pair, Weight]]:
     """Split the nonadjacent pairs by unique-maximum-path existence.
 
-    Returns (pairs with no unique-max path, witness weight of the first
-    unique-max path found for each of the others). A pair {p,q} admits a
-    path whose maximal edge is unique iff for some edge e = {x,y} the
-    strictly-lighter subgraph joins {p,q} to {x,y} by two vertex-disjoint
-    paths; the witness weight is w(e).
+    Returns (pairs with no unique-max path, the least weight of a
+    unique-max path's dominant edge for each of the others), deciding
+    each weight level on one block-vertex forest (see the module docstring).
     """
     _require_connected(g)
 
     verts = g.vertices
-    unresolved: list[Pair] = [
-        (verts[i], verts[j])
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if not g.has_edge(verts[i], verts[j])
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    levels: dict[Weight, list[tuple[int, int]]] = {}
+    for u, v, w in g.weighted_edges():
+        levels.setdefault(w, []).append((idx[u], idx[v]))
+    joined = {e for batch in levels.values() for e in batch}
+    unresolved = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in joined
     ]
     values: dict[Pair, Weight] = {}
+    adj: list[list[int]] = [[] for _ in range(n)]  # the lighter graph
+    for w in sorted(levels):
+        if not unresolved:
+            break
+        comp, parent, order, key = _block_forest(adj)
+        # Mark the forest path of every same-component edge, jumping over
+        # the nodes earlier paths marked.
+        hot = [False] * len(parent)
+        top = list(range(len(parent)))
 
-    edges = sorted(g.weighted_edges(), key=lambda e: e[2])
-    pos = 0
-    while pos < len(edges) and unresolved:
-        w = edges[pos][2]
-        batch = []
-        while pos < len(edges) and edges[pos][2] == w:
-            batch.append(edges[pos])
-            pos += 1
-        lighter = strict_threshold_subgraph(g, w)
-        comp_of: dict[Vertex, int] = {}
-        for label, block in enumerate(connected_components(lighter).blocks):
-            for v in block:
-                comp_of[v] = label
-        for x, y, _ in batch:
-            cx, cy = comp_of[x], comp_of[y]
-            still: list[Pair] = []
-            for pair in unresolved:
-                pp, qq = pair
-                cp, cq = comp_of[pp], comp_of[qq]
-                if cx != cy:
-                    hit = {cp, cq} == {cx, cy} and cp != cq
-                else:
-                    hit = (
-                        cp == cq == cx
-                        and _two_vertex_disjoint_paths(lighter, pp, qq, x, y)
-                    )
-                if hit:
-                    values[pair] = w
-                else:
-                    still.append(pair)
-            unresolved = still
+        def find(a: int) -> int:
+            while top[a] != a:
+                top[a] = top[top[a]]
+                a = top[a]
+            return a
 
-    return frozenset(unresolved), values
+        cross = set()
+        for x, y in levels[w]:
+            if comp[x] != comp[y]:
+                cross |= {(comp[x], comp[y]), (comp[y], comp[x])}
+                continue
+            a, b = find(x), find(y)
+            while a != b:
+                if key[a] < key[b]:
+                    a, b = b, a
+                hot[a], top[a] = True, parent[a]
+                a = find(a)
+            hot[a] = True
+        piece = list(range(n))  # pieces left once the marked blocks are cut
+        for v in order:
+            if parent[v] >= 0 and not hot[parent[v]]:
+                piece[v] = piece[parent[parent[v]]]
+
+        still = []
+        for p, q in unresolved:
+            if piece[p] != piece[q] and (comp[p] == comp[q] or (comp[p], comp[q]) in cross):
+                values[verts[p], verts[q]] = w
+            else:
+                still.append((p, q))
+        unresolved = still
+        for x, y in levels[w]:
+            adj[x].append(y)
+            adj[y].append(x)
+
+    return frozenset((verts[p], verts[q]) for p, q in unresolved), values
 
 
 def twice_max_pairs(g: WeightedGraph) -> PairSet:
@@ -275,23 +280,13 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
     if not report.pseudoultrametrizable:
         raise NotExtendableError(report.witness)
 
-    twice_max, values = _twice_max_analysis(g)
-    verts = g.vertices
-    n = len(verts)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = verts[i], verts[j]
-            if g.has_edge(u, v):
-                d = g.weight(u, v)
-            elif (u, v) in twice_max:
-                d = Fraction(0)
-            else:
-                d = values[(u, v)]
-            rows[i][j] = d
-            rows[j][i] = d
+    _, values = _twice_max_analysis(g)  # twice-max pairs stay at 0
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    rows = [[Fraction(0)] * len(idx) for _ in idx]
+    for (u, v), d in ({(u, v): w for u, v, w in g.weighted_edges()} | values).items():
+        rows[idx[u]][idx[v]] = rows[idx[v]][idx[u]] = d
 
-    m = distance_matrix(verts, rows)
+    m = distance_matrix(g.vertices, rows)
     if not m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC):
         raise NotPseudoultrametricError(
             "least-extension values are inconsistent; input is outside "

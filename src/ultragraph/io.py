@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 
 from .errors import (
+    DigitLimitError,
     DuplicateEdgeError,
     InexactDecimalError,
     ParseError,
@@ -51,6 +52,18 @@ def parse_weight(text: str) -> Weight:
     return to_weight(_literal_value(text))
 
 
+def _digits(k: int) -> str:
+    """Decimal text of ``k``; an integer past the interpreter's
+    integer-to-text limit (4,300 digits by default) is a DigitLimitError."""
+    try:
+        return str(k)
+    except ValueError:
+        raise DigitLimitError(
+            f"a value with about {int(k.bit_length() * 0.30103)} digits is "
+            "too long to convert to text"
+        ) from None
+
+
 def _terminating_decimal(w: Fraction) -> str | None:
     """Shortest decimal spelling of ``w``, or None when it does not terminate."""
     den = w.denominator
@@ -66,17 +79,17 @@ def _terminating_decimal(w: Fraction) -> str | None:
         return None
     k = max(twos, fives)
     if k == 0:
-        return str(w.numerator)
+        return _digits(w.numerator)
     scaled = w.numerator * 10**k // den
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(k + 1, "0")
+    digits = _digits(abs(scaled)).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 def format_weight(w) -> str:
     """Shortest terminating decimal if one exists, else ``p/q``."""
     w = Fraction(w)
-    return _terminating_decimal(w) or f"{w.numerator}/{w.denominator}"
+    return _terminating_decimal(w) or f"{_digits(w.numerator)}/{_digits(w.denominator)}"
 
 
 def parse_edge_list(text: str) -> WeightedGraph:
@@ -156,6 +169,20 @@ def emit_matrix(m: DistanceMatrix, format: str = "json") -> str:
     raise ParseError(f"unknown matrix format {format!r}")
 
 
+def _json_weight(cell) -> Weight:
+    """Weight of a JSON matrix cell: a literal string or a JSON integer.
+
+    Other numbers are refused for the reason ``to_weight`` refuses
+    floats, and booleans, arrays, objects and null are no weights.
+    """
+    if isinstance(cell, bool) or not isinstance(cell, (str, int)):
+        raise ParseError(
+            f"bad matrix json: cell {json.dumps(cell)[:40]} is neither a "
+            "weight string nor an integer"
+        )
+    return parse_weight(str(cell))
+
+
 def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
     """Inverse of emit_matrix; the axiom class is re-verified, not trusted."""
     if format == "json":
@@ -163,11 +190,16 @@ def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
             doc = json.loads(text)
             vertices = doc["vertices"]
             rows = doc["matrix"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ParseError(f"bad matrix json: {exc}") from None
-        if not isinstance(vertices, list) or not isinstance(rows, list):
+        if not (
+            isinstance(vertices, list)
+            and isinstance(rows, list)
+            and all(isinstance(v, str) for v in vertices)
+            and all(isinstance(r, list) for r in rows)
+        ):
             raise ParseError("bad matrix json: wrong field types")
-        return distance_matrix(vertices, [[parse_weight(x) for x in r] for r in rows])
+        return distance_matrix(vertices, [[_json_weight(x) for x in r] for r in rows])
     if format == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or not lines[0].startswith(","):

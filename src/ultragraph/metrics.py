@@ -636,6 +636,8 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
         lo = 1.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
+            if not lo < mid < hi:  # adjacent floats: below any tolerance
+                break
             if excess(mid) >= 0.0:
                 lo = mid
             else:

@@ -2,8 +2,11 @@
 
 import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ultragraph.cli import main
 
@@ -191,6 +194,13 @@ class TestExponent:
         assert code == 0
         assert out == "1.0\n"
 
+    def test_tolerance_below_float_resolution_terminates(self, cli):
+        # Bisection stops at adjacent floats instead of looping forever.
+        text = "a b 3\nb c 4\na c 6\n"
+        _, coarse, _ = cli(["exponent"], text)
+        code, fine, _ = cli(["exponent", "--tol", "1e-300"], text)
+        assert code == 0 and abs(float(fine) - float(coarse)) < 1e-9
+
     def test_disconnected_is_an_error(self, cli):
         code, out, err = cli(["exponent"], "a b 1\nvertex z\n")
         assert code == 2
@@ -298,6 +308,17 @@ class TestInputHandling:
             assert err.startswith("parse-error: line ")
             assert err.count("\n") == 1
 
+    def test_distance_past_the_integer_to_text_limit(self, cli):
+        # Each literal is under 1,000 characters, but the end-to-end
+        # distance has a denominator of about 4,600 digits.
+        dens = [3**2000, 7**1100, 11**900, 13**800, 17**750]
+        text = "".join(f"v{i} v{i + 1} 1/{d}\n" for i, d in enumerate(dens))
+        for fmt in ("json", "csv"):
+            code, out, err = cli(["shortest", "--format", fmt], text)
+            assert (code, out) == (2, "")
+            assert err.startswith("digit-limit: ")
+            assert err.count("\n") == 1
+
     def assert_unreadable(self, result):
         code, out, err = result
         assert (code, out) == (2, "")
@@ -333,9 +354,90 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("usage-error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subdominant", "--format", "newick", "--approx-digits", value]
+            for value in ("-3", "1001", "x")
+        ]
+        + [["exponent", "--tol", value] for value in ("0", "-1", "nan", "inf", "x")],
+    )
+    def test_out_of_range_numeric_options(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1/3\nb c 1\na c 1\n"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error: argument ")
+        assert err.count("\n") == 1
+
     def test_bad_format_choice(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
         with pytest.raises(SystemExit) as excinfo:
             main(["subdominant", "--format", "yaml"])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("usage-error:")
+
+
+# The exit-code and stderr contract on arbitrary input bytes: well-formed
+# edge lists over names with Newick metacharacters or non-ASCII letters
+# and weights from 1e-1000 to 1e1000 (self-loops and repeated edges
+# included), the same mixed with bad literals, short lines and free
+# text, or raw bytes.
+FUZZ_NAMES = ["a", "b", "c", "d", "e", "a:1", "b(2)", "c'", "\u00e9"]
+FUZZ_WEIGHTS = [
+    "0", "1", "2", "3/7", "1/3", "0.5", "2.5e-1", "1e3", "1e-1000", "1e1000",
+    "7/100000000000000000000001",
+]
+FUZZ_BAD_WEIGHTS = ["-1", "1/0", "x", "nan", "inf", "1_0", "1e1001"]
+
+
+def fuzz_lines(weights):
+    return st.one_of(
+        st.tuples(
+            st.sampled_from(FUZZ_NAMES), st.sampled_from(FUZZ_NAMES), st.sampled_from(weights)
+        ).map(" ".join),
+        st.sampled_from(FUZZ_NAMES).map("vertex {}".format),
+    )
+
+
+FUZZ_INPUTS = st.one_of(
+    st.lists(fuzz_lines(FUZZ_WEIGHTS), max_size=12),
+    st.lists(
+        st.one_of(
+            fuzz_lines(FUZZ_WEIGHTS + FUZZ_BAD_WEIGHTS),
+            st.sampled_from(["", "# note", "a b", "a b 1 2", "vertex"]),
+            st.text(max_size=12),
+        ),
+        max_size=12,
+    ),
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")) | st.binary(max_size=120)
+FUZZ_COMMANDS = [
+    ["check"], ["subdominant"], ["subdominant", "--format", "csv"],
+    ["subdominant", "--format", "newick"],
+    ["subdominant", "--format", "newick", "--approx-digits", "3"],
+    ["shortest"], ["shortest", "--format", "csv"], ["least"], ["least", "--format", "csv"],
+    ["tm"], ["wch"], ["unique"], ["structure"], ["exponent"], ["augment"],
+    ["oracle", "check"], ["oracle", "subdominant"], ["oracle", "tm"],
+]
+
+
+def run_file(argv, path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["-i", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=FUZZ_INPUTS)
+def test_contract_holds_on_arbitrary_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_bytes(data)
+    for argv in FUZZ_COMMANDS:
+        code, out, err = run_file(argv, path)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert ": " in err
+        assert run_file(argv, path) == (code, out, err)

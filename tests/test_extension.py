@@ -8,6 +8,7 @@ import pytest
 
 import ultragraph as ug
 from ultragraph import AxiomClass, oracle
+from ultragraph.extension import _block_forest, _twice_max_analysis
 
 from corpus import random_connected_graph, random_multipartite
 
@@ -148,6 +149,64 @@ class TestTwiceMaxPairs:
         )
         assert ug.twice_max_pairs(g) == frozenset({("p", "q")})
         assert oracle.oracle_twice_max(g) == frozenset({("p", "q")})
+
+    def test_pair_hanging_off_a_cut_vertex_of_the_heavy_edges_path(self):
+        # Below 2, x-{x,a,c}-c-{c,b}-b-{b,y}-y is the forest path of the
+        # heavy edge xy. p (in block {c,p,s}) and q (bridge cq) hang off
+        # its cut vertex c, so no simple p-q route uses xy; b sits on the
+        # path, so p-c-x-y-b is a route with the unique maximum 2.
+        g = ug.build_graph(
+            ["x", "a", "c", "b", "y", "p", "s", "q"],
+            [
+                ("x", "a", 1), ("a", "c", 1), ("x", "c", 1), ("c", "b", 1),
+                ("b", "y", 1), ("c", "p", 1), ("p", "s", 1), ("s", "c", 1),
+                ("c", "q", 1), ("x", "y", 2),
+            ],
+        )
+        pairs, values = _twice_max_analysis(g)
+        assert ("p", "q") in pairs
+        assert ("b", "p") not in pairs and values[("b", "p")] == 2
+        assert pairs == oracle.oracle_twice_max(g)
+
+    @pytest.mark.parametrize("detour, hit", [(False, False), (True, True)])
+    def test_pair_containing_an_endpoint_of_the_heavy_edge(self, detour, hit):
+        # The pair {x,q} shares x with the heavy edge xy. It is hit iff q
+        # reaches y below 2 without passing x, here through the edge mn.
+        edges = [("q", "m", 1), ("m", "x", 1), ("x", "n", 1), ("n", "y", 1), ("x", "y", 2)]
+        g = ug.build_graph(["x", "q", "m", "n", "y"], edges + [("m", "n", 1)] * detour)
+        pairs, values = _twice_max_analysis(g)
+        assert (("x", "q") not in pairs) == hit
+        assert values.get(("x", "q")) == (2 if hit else None)
+        assert pairs == oracle.oracle_twice_max(g)
+
+    def test_heavy_edges_between_components_of_the_lighter_graph(self):
+        # Below 2 there are three components A = a1-a0-a2, B = b1-b0-b2
+        # and C = {c}; level 2 joins A to B and A to C, never B to C.
+        g = ug.build_graph(
+            ["a0", "a1", "a2", "b0", "b1", "b2", "c"],
+            [
+                ("a1", "a0", 1), ("a0", "a2", 1), ("b1", "b0", 1),
+                ("b0", "b2", 1), ("a1", "b1", 2), ("a0", "c", 2),
+            ],
+        )
+        pairs, values = _twice_max_analysis(g)
+        assert values[("a2", "b2")] == values[("a2", "c")] == 2
+        assert ("a1", "a2") in pairs  # one component: the bridge cannot help
+        assert ("b2", "c") in pairs  # no level-2 edge joins B and C
+        assert pairs == oracle.oracle_twice_max(g)
+
+    def test_block_forest_of_a_path_deeper_than_the_recursion_limit(self):
+        # Every edge of a path is a block of its own, entered from the
+        # vertex before it.
+        n = 5000
+        adj = [[i - 1, i + 1] for i in range(n)]
+        adj[0], adj[-1] = [1], [n - 2]
+        root, parent, order, key = _block_forest(adj)
+        assert root == [0] * n and order == list(range(n))
+        assert len(parent) == 2 * n - 1 and parent[0] == -1
+        for v in range(1, n):
+            assert parent[parent[v]] == v - 1
+            assert key[v - 1] < key[parent[v]] < key[v]
 
     def test_disconnected_rejected(self):
         g = ug.build_graph(["a", "b", "c"], [("a", "b", 1)])

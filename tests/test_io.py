@@ -1,6 +1,7 @@
 """Edge-list, matrix and Newick serialization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,14 @@ class TestFormatWeight:
     def test_round_trip(self):
         for w in (Fraction(0), Fraction(1, 2), Fraction(22, 7), Fraction(9)):
             assert ug.parse_weight(ug.format_weight(w)) == w
+
+    def test_past_the_integer_to_text_limit(self):
+        # 3**9000 has 4,295 digits, 3**9100 has 4,342: past the limit of
+        # 4,300 a DigitLimitError, not the interpreter's ValueError.
+        assert ug.format_weight(Fraction(1, 3**9000)) == f"1/{3**9000}"
+        for w in (Fraction(3**9100), Fraction(1, 3**9100), Fraction(1, 2**14500)):
+            with pytest.raises(ug.DigitLimitError):
+                ug.format_weight(w)
 
 
 class TestParseEdgeList:
@@ -195,6 +204,32 @@ class TestMatrixSerialization:
             ug.emit_matrix(m, "xml")
         with pytest.raises(ug.ParseError):
             ug.parse_matrix("x", "xml")
+
+    JSON_MATRIX = '{"vertices":["a","b"],"matrix":[[0,%s],[%s,0]]}'
+
+    @pytest.mark.parametrize("cell, value", [('"1/3"', Fraction(1, 3)), ("7", Fraction(7))])
+    def test_json_string_and_integer_cells(self, cell, value):
+        m = ug.parse_matrix(self.JSON_MATRIX % (cell, cell), "json")
+        assert m.entry("a", "b") == value
+
+    @pytest.mark.parametrize("cell", ["0.1", "2.5", "true", "[1]", '{"n": 1}', "null"])
+    def test_json_cells_of_other_types_are_refused(self, cell):
+        with pytest.raises(ug.ParseError, match=re.escape(f"cell {cell} is neither")):
+            ug.parse_matrix(self.JSON_MATRIX % (cell, cell), "json")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices":["a","b"],"matrix":["01","10"]}',
+            '{"vertices":["a","b"],"matrix":[1,2]}',
+            '{"vertices":[1,2],"matrix":[[0,1],[1,0]]}',
+            '{"vertices":["a","b"],"matrix":[[0,1%s],[1,0]]}' % ("0" * 5000),
+            "[" * 100000,
+        ],
+    )
+    def test_malformed_json_matrices_are_parse_errors(self, text):
+        with pytest.raises(ug.ParseError):
+            ug.parse_matrix(text, "json")
 
     def test_comma_in_vertex_name_rejected_for_csv(self):
         m = ug.distance_matrix(["a,b", "c"], [[0, 1], [1, 0]])

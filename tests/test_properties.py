@@ -4,7 +4,7 @@ brute-force oracles and against each other."""
 import random
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -14,9 +14,16 @@ from hypothesis import given, settings
 
 import ultragraph as ug
 from ultragraph import AxiomClass, PartialOrderResult, Verdict, metrics, oracle
+from ultragraph.extension import _twice_max_analysis
 from ultragraph.metrics import _exact_array, _recode_ranks, _scan_witness
 
-from corpus import disjoint_union, random_connected_graph, random_ultrametric
+from corpus import (
+    disjoint_union,
+    random_connected_graph,
+    random_multipartite,
+    random_ultrametric,
+    random_weighting,
+)
 
 WEIGHTS = [
     Fraction(0),
@@ -467,3 +474,106 @@ def test_exponent_does_not_depend_on_scale_or_dtype(g, factor):
     assert ug.betweenness_exponent(scaled) == ug.betweenness_exponent(m)
     with stand_ins(True):
         assert ug.betweenness_exponent(m) == ug.betweenness_exponent(scaled)
+
+
+# The twice-max analysis against the flow-based search it replaced: per
+# weight level, every edge of the level against every unresolved pair,
+# with a node-split unit-capacity flow for each same-component query.
+
+
+def reference_two_disjoint_paths(h, p, q, x, y):
+    cap = {}
+
+    def arc(a, b):
+        cap.setdefault(a, {})[b] = 1
+        cap.setdefault(b, {}).setdefault(a, 0)
+
+    for v in h.vertices:
+        arc(("i", v), ("o", v))
+    for a, b in h.edges:
+        arc(("o", a), ("i", b))
+        arc(("o", b), ("i", a))
+    for s in (p, q):
+        arc("S", ("i", s))
+    for t in (x, y):
+        arc(("o", t), "T")
+    for _ in range(2):
+        prev = {"S": "S"}
+        queue = ["S"]
+        for node in queue:
+            for nxt, c in cap[node].items():
+                if c > 0 and nxt not in prev:
+                    prev[nxt] = node
+                    queue.append(nxt)
+        if "T" not in prev:
+            return False
+        node = "T"
+        while node != "S":
+            cap[prev[node]][node] -= 1
+            cap[node][prev[node]] += 1
+            node = prev[node]
+    return True
+
+
+def reference_twice_max_analysis(g):
+    verts = g.vertices
+    unresolved = [(u, v) for u, v in combinations(verts, 2) if not g.has_edge(u, v)]
+    values = {}
+    edges = sorted(g.weighted_edges(), key=lambda e: e[2])
+    for w, batch in groupby(edges, key=lambda e: e[2]):
+        lighter = ug.strict_threshold_subgraph(g, w)
+        comp = {}
+        for k, block in enumerate(ug.connected_components(lighter).blocks):
+            comp.update(dict.fromkeys(block, k))
+        for x, y, _ in batch:
+            still = []
+            for p, q in unresolved:
+                if comp[x] != comp[y]:
+                    hit = {comp[p], comp[q]} == {comp[x], comp[y]}
+                else:
+                    hit = comp[p] == comp[q] == comp[x] and reference_two_disjoint_paths(
+                        lighter, p, q, x, y
+                    )
+                if hit:
+                    values[(p, q)] = w
+                else:
+                    still.append((p, q))
+            unresolved = still
+    return frozenset(unresolved), values
+
+
+ZERO_HEAVY = [Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@st.composite
+def twice_max_graphs(draw, max_n=12):
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    kind = draw(st.sampled_from(["corpus", "multipartite", "zero-heavy"]))
+    if kind == "multipartite":
+        return random_multipartite(rng, 2, 4, max_n // 4)
+    g = random_connected_graph(rng, 1, max_n)
+    if kind == "zero-heavy":
+        g = random_weighting(rng, g, ZERO_HEAVY)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(twice_max_graphs())
+def test_twice_max_analysis_matches_flow_reference(g):
+    assert _twice_max_analysis(g) == reference_twice_max_analysis(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twice_max_graphs(max_n=8))
+def test_twice_max_analysis_matches_oracle(g):
+    # A pair outside the family gets the least maximum over its paths
+    # whose maximum is unique.
+    pairs, values = _twice_max_analysis(g)
+    assert pairs == oracle.oracle_twice_max(g)
+    for (u, v), w in values.items():
+        tops = []
+        for path in oracle.enumerate_simple_paths(g, u, v):
+            weights = [g.weight(a, b) for a, b in path.edges()]
+            if weights.count(max(weights)) == 1:
+                tops.append(max(weights))
+        assert w == min(tops)
