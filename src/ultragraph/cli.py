@@ -23,6 +23,8 @@ from .extension import (
 )
 from .graph import WeightedGraph, connected_components
 from .io import (
+    _LITERAL_LIMIT,
+    _check_digits,
     emit_edge_list,
     emit_matrix,
     emit_newick,
@@ -30,6 +32,7 @@ from .io import (
     parse_weight,
 )
 from .metrics import (
+    _check_tolerance,
     betweenness_exponent,
     distance_matrix,
     shortest_path_matrix,
@@ -48,27 +51,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digit_count(text: str) -> int:
-    """``--approx-digits``: 0 to 1,000 digits, the bound on weight literals."""
+    """``--approx-digits``: a digit count ``emit_newick`` takes."""
     try:
-        digits = int(text)
+        return _check_digits(int(text))
     except ValueError:
-        digits = -1
-    if not 0 <= digits <= 1000:
-        raise argparse.ArgumentTypeError(f"expected 0 to 1000 digits, got {text!r}")
-    return digits
+        raise argparse.ArgumentTypeError(
+            f"expected 0 to {_LITERAL_LIMIT} digits, got {text!r}"
+        ) from None
 
 
 def _tolerance(text: str) -> float:
-    """``--tol``: a positive finite number."""
+    """``--tol``: a tolerance ``betweenness_exponent`` takes."""
     try:
-        tol = float(text)
+        return _check_tolerance(float(text))
     except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected a positive finite number, got {text!r}"
-        )
-    return tol
+        ) from None
 
 
 def _build_parser() -> _Parser:

@@ -178,7 +178,7 @@ def _twice_max_analysis(
 
     verts = g.vertices
     n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
+    idx = g._index
     levels: dict[Weight, list[tuple[int, int]]] = {}
     for u, v, w in g.weighted_edges():
         levels.setdefault(w, []).append((idx[u], idx[v]))
@@ -281,7 +281,7 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
         raise NotExtendableError(report.witness)
 
     _, values = _twice_max_analysis(g)  # twice-max pairs stay at 0
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    idx = g._index
     rows = [[Fraction(0)] * len(idx) for _ in idx]
     for (u, v), d in ({(u, v): w for u, v, w in g.weighted_edges()} | values).items():
         rows[idx[u]][idx[v]] = rows[idx[v]][idx[u]] = d

@@ -55,10 +55,7 @@ class Partition:
         return len(self.blocks)
 
     def block_of(self, v: Vertex) -> tuple[Vertex, ...]:
-        for block in self.blocks:
-            if v in block:
-                return block
-        raise UnknownVertexError(f"vertex {v!r} not in partition")
+        return self.blocks[self.block_index(v)]
 
     def block_index(self, v: Vertex) -> int:
         for i, block in enumerate(self.blocks):
@@ -95,10 +92,7 @@ class WeightedGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(
-            self._weights,
-            key=lambda e: (self._index[e[0]], self._index[e[1]]),
-        ))
+        return tuple(self._weights)
 
     def edge_count(self) -> int:
         return len(self._weights)
@@ -116,8 +110,8 @@ class WeightedGraph:
         return self._adjacency.get(v, ())
 
     def weighted_edges(self) -> Iterator[tuple[Vertex, Vertex, Weight]]:
-        for u, v in self.edges:
-            yield u, v, self._weights[(u, v)]
+        for (u, v), w in self._weights.items():
+            yield u, v, w
 
 
 def build_graph(
@@ -155,10 +149,12 @@ def build_graph(
         adjacency[u].append(v)
         adjacency[v].append(u)
 
+    # Edges and neighbourhoods are stored in canonical order, once.
+    canonical = sorted(weights, key=lambda e: (index[e[0]], index[e[1]]))
     adj = {
         v: tuple(sorted(ns, key=index.__getitem__)) for v, ns in adjacency.items()
     }
-    return WeightedGraph(verts, weights, index, adj)
+    return WeightedGraph(verts, {e: weights[e] for e in canonical}, index, adj)
 
 
 def connected_components(g: WeightedGraph) -> Partition:

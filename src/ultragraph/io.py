@@ -47,6 +47,16 @@ def _literal_value(text, line: int | None = None) -> Fraction:
         raise ParseError(f"bad weight literal {text!r}", line=line) from None
 
 
+def _check_digits(digits: int) -> int:
+    """An ``approx_digits`` value: an int (not a bool) from 0 to 1,000,
+    the bound on weight literals."""
+    if type(digits) is not int or not 0 <= digits <= _LITERAL_LIMIT:
+        raise ValueError(
+            f"approx_digits must be an int from 0 to {_LITERAL_LIMIT}, got {digits!r}"
+        )
+    return digits
+
+
 def parse_weight(text: str) -> Weight:
     """Exact nonnegative weight from a decimal or ``p/q`` literal."""
     return to_weight(_literal_value(text))
@@ -142,8 +152,12 @@ def emit_edge_list(g: WeightedGraph) -> str:
     """Edge-list text that parses back to an identical graph.
 
     Every vertex is declared up front so the parse recovers the exact
-    vertex order even when it differs from edge appearance order.
+    vertex order even when it differs from edge appearance order. A name
+    the parser would split, or read as a comment, is a ParseError.
     """
+    for name in g.vertices:
+        if not name or name.startswith("#") or any(c.isspace() for c in name):
+            raise ParseError(f"vertex name {name!r} cannot appear in an edge list")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"{u} {v} {format_weight(w)}" for u, v, w in g.weighted_edges()]
     return "\n".join(lines)
@@ -232,8 +246,11 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
     Labels holding whitespace or one of ``()[]':;,`` are single-quoted,
     with embedded quotes doubled. Branch lengths must terminate as
     decimals; otherwise pass ``approx_digits`` to emit a rounded decimal
-    annotated with the exact ratio in a bracket comment.
+    annotated with the exact ratio in a bracket comment; ``approx_digits``
+    must be an int from 0 to 1,000 (ValueError otherwise).
     """
+    if approx_digits is not None:
+        _check_digits(approx_digits)
 
     def fmt(length: Fraction) -> str:
         exact = _terminating_decimal(length)

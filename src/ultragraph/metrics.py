@@ -327,7 +327,7 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, Weight]]):
 
 def _graph_levels(g: WeightedGraph):
     """``_merge_levels`` over the graph's edges in canonical order."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    idx = g._index
     return _merge_levels(
         len(g.vertices), [(idx[u], idx[v], w) for u, v, w in g.weighted_edges()]
     )
@@ -368,7 +368,7 @@ def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
     _require_connected(g)
     verts = g.vertices
     n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
+    idx = g._index
     # Exact stand-ins for the weights (integers on a common denominator
     # unless that is too wide) keep Dijkstra exact.
     weights = list({w for _, _, w in g.weighted_edges()})
@@ -594,6 +594,13 @@ def matrix_from_dendrogram(
 INFINITE_EXPONENT = math.inf
 
 
+def _check_tolerance(tol: float) -> float:
+    """A bisection tolerance: positive and finite, so the bisection ends."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    return tol
+
+
 def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
     """Supremum of the powers to which the matrix stays a (pseudo)metric.
 
@@ -604,7 +611,9 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
     found by bisection to ``tol``. The result is the minimum over all
     triples, or the Infinite sentinel (math.inf) when nothing
     constrains the power, which happens exactly for pseudoultrametrics.
+    ``tol`` must be positive and finite (ValueError otherwise).
     """
+    _check_tolerance(tol)
     if not m.axiom_class.satisfies(AxiomClass.PSEUDOMETRIC):
         raise NotPseudometricError(
             f"matrix class is {m.axiom_class.value}, need at least pseudometric"

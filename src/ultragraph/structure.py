@@ -1,16 +1,15 @@
 """Recognizers for the graph classes the characterization results quantify
 over: forests, trees, complete multipartite graphs, and stars.
 
-Complete-multipartite recognition runs on the complement (is it a
-disjoint union of cliques?). The three-vertex obstruction scan in
-``find_multipartite_obstruction`` is an independent second route to the
-same question and the two are tested against each other exhaustively on
-small graphs.
+Complete-multipartite recognition groups the vertices by neighbourhood
+(the canonical tuples ``build_graph`` stores): the parts of such a graph
+are exactly its classes of equal neighbourhoods. The three-vertex
+obstruction scan in ``find_multipartite_obstruction`` is an independent
+second route to the same question and the two are tested against each
+other exhaustively on small graphs.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .graph import Partition, Vertex, WeightedGraph, connected_components, is_connected
 
@@ -24,52 +23,25 @@ def is_tree(g: WeightedGraph) -> bool:
     return is_forest(g) and is_connected(g)
 
 
-def _complement_components(g: WeightedGraph) -> list[list[Vertex]]:
-    """Connected components of the complement graph, by first appearance.
-
-    Breadth-first search over non-neighbors; quadratic, which is fine at
-    the sizes this toolkit targets.
-    """
-    order = g.vertices
-    seen: set[Vertex] = set()
-    comps: list[list[Vertex]] = []
-    for start in order:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            nbs = set(g.neighbors(u))
-            for v in order:
-                if v not in seen and v != u and v not in nbs:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        idx = g.vertex_index
-        comp.sort(key=idx)
-        comps.append(comp)
-    return comps
-
-
 def multipartite_parts(g: WeightedGraph) -> Partition | None:
     """Parts of a complete multipartite graph, or None.
 
-    A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques; the candidate parts are the complement's
-    components, and they qualify iff each is independent in g (cross-part
-    adjacency is then automatic, since cross-component pairs have no
-    complement edge). k = 1 (edgeless graph) is reported too; callers
+    A graph is complete multipartite exactly when non-adjacency is an
+    equivalence; the parts are then the classes of vertices with equal
+    neighbourhoods. No vertex is its own neighbour, so a class and its
+    shared neighbourhood are disjoint, and together they hold all n
+    vertices iff every member is adjacent to everything outside its
+    class and to nothing inside it. Parts are ordered by first vertex,
+    members canonically. k = 1 (edgeless graph) is reported too; callers
     needing k >= 2 must check.
     """
-    comps = _complement_components(g)
-    for comp in comps:
-        for i, u in enumerate(comp):
-            for v in comp[i + 1:]:
-                if g.has_edge(u, v):
-                    return None
-    return Partition(tuple(tuple(c) for c in comps))
+    classes: dict[tuple[Vertex, ...], list[Vertex]] = {}
+    for v in g.vertices:
+        classes.setdefault(g.neighbors(v), []).append(v)
+    n = len(g.vertices)
+    if any(len(nbrs) + len(c) != n for nbrs, c in classes.items()):
+        return None
+    return Partition(tuple(tuple(c) for c in classes.values()))
 
 
 def find_multipartite_obstruction(

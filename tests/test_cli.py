@@ -247,6 +247,13 @@ class TestAugment:
         assert code == 2
         assert err.startswith("parse-error:")
 
+    def test_name_read_as_comment_is_refused(self, cli):
+        # "#x b 2" would parse back as a comment, losing the edge.
+        code, out, err = cli(["augment"], "a #x 1\nb #x 2\n")
+        assert code == 2
+        assert out == ""
+        assert err == "parse-error: vertex name '#x' cannot appear in an edge list\n"
+
     def test_unknown_vertex_in_const(self, cli):
         code, out, err = cli(["augment", "--const", "zz=1"], "a b 1\nx y 2\n")
         assert code == 2
@@ -380,11 +387,11 @@ class TestUsageErrors:
 
 
 # The exit-code and stderr contract on arbitrary input bytes: well-formed
-# edge lists over names with Newick metacharacters or non-ASCII letters
-# and weights from 1e-1000 to 1e1000 (self-loops and repeated edges
-# included), the same mixed with bad literals, short lines and free
-# text, or raw bytes.
-FUZZ_NAMES = ["a", "b", "c", "d", "e", "a:1", "b(2)", "c'", "\u00e9"]
+# edge lists over names with Newick metacharacters, a leading "#" or
+# non-ASCII letters and weights from 1e-1000 to 1e1000 (self-loops and
+# repeated edges included), the same mixed with bad literals, short lines
+# and free text, or raw bytes; with option values in and out of range.
+FUZZ_NAMES = ["a", "b", "c", "d", "e", "a:1", "b(2)", "c'", "#f", "\u00e9"]
 FUZZ_WEIGHTS = [
     "0", "1", "2", "3/7", "1/3", "0.5", "2.5e-1", "1e3", "1e-1000", "1e1000",
     "7/100000000000000000000001",
@@ -422,19 +429,48 @@ FUZZ_COMMANDS = [
 ]
 
 
+FUZZ_TEXT = st.sampled_from(["", "x", "1.5", "1e3", "-", "0x10", "\u0663"])
+FUZZ_OPTIONS = st.tuples(
+    st.integers(-3, 1003).map(str) | FUZZ_TEXT,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.sampled_from(["0", "1e-300", "5e-324", "1e308"])
+    | FUZZ_TEXT,
+    st.integers(-2, 4).map(str) | FUZZ_TEXT,
+    st.lists(
+        st.tuples(
+            st.sampled_from(FUZZ_NAMES + ["", "zz"]),
+            st.sampled_from(["=", "", "=="]),
+            st.sampled_from(FUZZ_WEIGHTS + FUZZ_BAD_WEIGHTS + [""]),
+        ).map("".join),
+        max_size=3,
+    ),
+)
+
+
+def option_commands(digits, tol, hub, consts):
+    return [
+        ["subdominant", "--format", "newick", f"--approx-digits={digits}"],
+        ["exponent", f"--tol={tol}"],
+        ["augment", f"--hub={hub}"] + [f"--const={c}" for c in consts],
+    ]
+
+
 def run_file(argv, path):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv + ["-i", str(path)])
+        try:
+            code = main(argv + ["-i", str(path)])
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=FUZZ_INPUTS)
-def test_contract_holds_on_arbitrary_bytes(tmp_path_factory, data):
+@given(data=FUZZ_INPUTS, options=FUZZ_OPTIONS)
+def test_contract_holds_on_arbitrary_bytes(tmp_path_factory, data, options):
     path = tmp_path_factory.getbasetemp() / "fuzz-input"
     path.write_bytes(data)
-    for argv in FUZZ_COMMANDS:
+    for argv in FUZZ_COMMANDS + option_commands(*options):
         code, out, err = run_file(argv, path)
         assert code in (0, 1, 2)
         if code == 2:

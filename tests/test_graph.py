@@ -45,6 +45,16 @@ class TestBuildGraph:
         assert g.weight("c", "a") == 3
         assert g.weight("a", "c") == 3
 
+    def test_edges_canonical_when_given_in_reverse(self):
+        g = ug.build_graph(
+            ["a", "b", "c", "d"],
+            [("d", "c", 4), ("c", "a", 3), ("d", "a", 2), ("b", "a", 1)],
+        )
+        assert g.edges == (("a", "b"), ("a", "c"), ("a", "d"), ("c", "d"))
+        assert list(g.weighted_edges()) == [
+            ("a", "b", 1), ("a", "c", 3), ("a", "d", 2), ("c", "d", 4)
+        ]
+
     def test_neighbors_sorted_by_declaration(self):
         g = ug.build_graph(
             ["a", "b", "c", "d"],

@@ -143,6 +143,17 @@ class TestEdgeListRoundTrip:
             assert back.vertices == g.vertices
             assert list(back.weighted_edges()) == list(g.weighted_edges())
 
+    @pytest.mark.parametrize("name", ["#x", "", "a b", "a\tb", "a\u2028b"])
+    def test_names_that_cannot_parse_back_are_refused(self, name):
+        g = ug.build_graph(["b", name], [(name, "b", 2)])
+        with pytest.raises(ug.ParseError, match=re.escape(repr(name))):
+            ug.emit_edge_list(g)
+
+    def test_inner_hash_and_vertex_keyword_round_trip(self):
+        g = ug.build_graph(["a#b", "vertex"], [("a#b", "vertex", 1)])
+        text = ug.emit_edge_list(g)
+        assert ug.emit_edge_list(ug.parse_edge_list(text)) == text
+
     def test_second_emission_is_identical(self):
         g = ug.build_graph(["a", "b", "c"], [("a", "b", "0.5"), ("b", "c", 2)])
         text = ug.emit_edge_list(g)
@@ -277,6 +288,22 @@ class TestNewick:
         d = ug.dendrogram(m)
         out = ug.emit_newick(d, approx_digits=6)
         assert out == "(a:0.333333[1/3],b:0.333333[1/3]);"
+
+    def thirds(self):
+        return ug.dendrogram(ug.distance_matrix(
+            ["a", "b"], [[0, Fraction(2, 3)], [Fraction(2, 3), 0]]
+        ))
+
+    @pytest.mark.parametrize("digits", [-1, 2.5, True, 10**6])
+    def test_approx_digits_out_of_range_refused(self, digits):
+        with pytest.raises(ValueError, match="approx_digits"):
+            ug.emit_newick(self.thirds(), approx_digits=digits)
+
+    def test_approx_digits_bounds_accepted(self):
+        d = self.thirds()
+        assert ug.emit_newick(d, approx_digits=0) == "(a:0[1/3],b:0[1/3]);"
+        out = ug.emit_newick(d, approx_digits=1000)
+        assert out.startswith("(a:0." + "3" * 1000 + "[1/3]")
 
     def test_metacharacter_labels_are_quoted(self):
         m = ug.distance_matrix(

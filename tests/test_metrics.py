@@ -413,6 +413,20 @@ class TestBetweennessExponent:
             is_ultra = m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC)
             assert (alpha == ug.INFINITE_EXPONENT) == is_ultra
 
+    def triangle_346(self):
+        g = ug.build_graph(
+            ["a", "b", "c"], [("a", "b", 3), ("b", "c", 4), ("a", "c", 6)]
+        )
+        return ug.shortest_path_matrix(g)
+
+    def test_triangle_346(self):
+        assert abs(ug.betweenness_exponent(self.triangle_346()) - 1.2931741) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ug.betweenness_exponent(self.triangle_346(), tol=tol)
+
     def test_requires_pseudometric(self):
         m = mat(["a", "b", "c"], (0, 5, 1), (5, 0, 1), (1, 1, 0))
         with pytest.raises(ug.NotPseudometricError):

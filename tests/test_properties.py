@@ -2,6 +2,7 @@
 brute-force oracles and against each other."""
 
 import random
+from collections import deque
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -18,7 +19,9 @@ from ultragraph.extension import _twice_max_analysis
 from ultragraph.metrics import _exact_array, _recode_ranks, _scan_witness
 
 from corpus import (
+    atlas_graphs,
     disjoint_union,
+    from_networkx,
     random_connected_graph,
     random_multipartite,
     random_ultrametric,
@@ -577,3 +580,71 @@ def test_twice_max_analysis_matches_oracle(g):
             if weights.count(max(weights)) == 1:
                 tops.append(max(weights))
         assert w == min(tops)
+
+
+# The complement search that multipartite_parts replaced: the parts are
+# the components of the complement, by first appearance, and they count
+# iff each one is independent in g.
+
+
+def reference_multipartite_parts(g):
+    seen = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            nbs = set(g.neighbors(u))
+            for v in g.vertices:
+                if v not in seen and v != u and v not in nbs:
+                    seen.add(v)
+                    comp.append(v)
+                    queue.append(v)
+        comp.sort(key=g.vertex_index)
+        comps.append(comp)
+    for comp in comps:
+        for i, u in enumerate(comp):
+            for v in comp[i + 1:]:
+                if g.has_edge(u, v):
+                    return None
+    return ug.Partition(tuple(tuple(c) for c in comps))
+
+
+@st.composite
+def multipartite_candidates(draw):
+    # Complete multipartite graphs (k = 1 included) declared in shuffled
+    # order, the same with one cross-part edge dropped or one same-part
+    # edge added, and corpus graphs.
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    kind = draw(st.sampled_from(["multipartite", "drop", "add", "corpus"]))
+    if kind == "corpus":
+        return random_connected_graph(rng, 1, 10)
+    g = random_multipartite(rng, 1, 5, 3)
+    verts = list(g.vertices)
+    rng.shuffle(verts)
+    edges = list(g.weighted_edges())
+    missing = [(u, v) for u, v in combinations(verts, 2) if not g.has_edge(u, v)]
+    if kind == "drop" and edges:
+        edges.pop(rng.randrange(len(edges)))
+    if kind == "add" and missing:
+        edges.append((*rng.choice(missing), Fraction(1)))
+    rng.shuffle(edges)
+    return ug.build_graph(verts, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multipartite_candidates())
+def test_multipartite_parts_matches_complement_reference(g):
+    parts = ug.multipartite_parts(g)
+    assert parts == reference_multipartite_parts(g)
+    assert (parts is None) == (ug.find_multipartite_obstruction(g) is not None)
+
+
+def test_multipartite_parts_matches_complement_reference_on_atlas():
+    for G in atlas_graphs(6):
+        g = from_networkx(G)
+        assert ug.multipartite_parts(g) == reference_multipartite_parts(g)
