@@ -9,6 +9,7 @@ line on stderr of the form ``code: detail``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -40,7 +41,7 @@ from .metrics import (
     subdominant_matrix,
 )
 from .oracle import oracle_cycle_condition, oracle_subdominant, oracle_twice_max
-from .structure import is_forest, is_star, is_tree, multipartite_parts
+from .structure import _is_star, is_forest, is_tree, multipartite_parts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +71,7 @@ def _tolerance(text: str) -> float:
         ) from None
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ultragraph",
@@ -265,7 +267,7 @@ def _run(args) -> int:
         else:
             blocks = " | ".join(" ".join(b) for b in parts.blocks)
             print(f"complete-multipartite: k={len(parts)}; parts: {blocks}")
-        print(f"star: {'yes' if is_star(g) else 'no'}")
+        print(f"star: {'yes' if _is_star(parts) else 'no'}")
         return 0
 
     if args.command == "exponent":

@@ -145,7 +145,8 @@ def build_graph(
         key = (u, v) if index[u] < index[v] else (v, u)
         if key in weights:
             raise DuplicateEdgeError(f"edge {{{u!r},{v!r}}} given twice")
-        weights[key] = to_weight(raw)
+        # A Fraction with a nonnegative numerator is a weight already.
+        weights[key] = raw if type(raw) is Fraction and raw.numerator >= 0 else to_weight(raw)
         adjacency[u].append(v)
         adjacency[v].append(u)
 

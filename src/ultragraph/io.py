@@ -2,10 +2,11 @@
 
 All serialization is exact. Weights print as the shortest terminating
 decimal when one exists, else as ``p/q``; parsing either form recovers
-the value bit-for-bit, so emit-parse round trips are identities. Newick
-output is decimal-only by convention, so non-terminating branch lengths
-require an explicit approximation request and carry the exact ratio in
-a comment.
+the value bit-for-bit, so emit-parse round trips are identities, and
+each distinct literal or matrix value is parsed or formatted once.
+Newick output is decimal-only by convention, so non-terminating branch
+lengths require an explicit approximation request and carry the exact
+ratio in a comment.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DigitLimitError,
@@ -22,7 +25,7 @@ from .errors import (
     SelfLoopError,
 )
 from .graph import Vertex, Weight, WeightedGraph, build_graph, to_weight
-from .metrics import Dendrogram, DistanceMatrix, distance_matrix
+from .metrics import Dendrogram, DistanceMatrix, _from_codes, _interner
 
 
 # Longest literal, and largest exponent magnitude, accepted: both bound
@@ -113,6 +116,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     known: set[Vertex] = set()
     edges: list[tuple[Vertex, Vertex, Weight]] = []
     edge_keys: set[frozenset[Vertex]] = set()
+    literals: dict[str, Fraction] = {}
 
     def declare(v: Vertex) -> None:
         if v not in known:
@@ -138,7 +142,9 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if key in edge_keys:
             raise DuplicateEdgeError(f"line {lineno}: edge {{{u!r},{v!r}}} given twice")
         edge_keys.add(key)
-        w = _literal_value(wtext, lineno)
+        w = literals.get(wtext)
+        if w is None:
+            w = literals[wtext] = _literal_value(wtext, lineno)
         declare(u)
         declare(v)
         edges.append((u, v, w))
@@ -163,12 +169,22 @@ def emit_edge_list(g: WeightedGraph) -> str:
     return "\n".join(lines)
 
 
+def _cell_texts(m: DistanceMatrix) -> list[list[str]]:
+    """Text of every entry, formatting each distinct value once."""
+    try:
+        texts = np.array([format_weight(w) for w in m._values], dtype=object)
+    except DigitLimitError:  # name the first such cell in row-major order
+        [format_weight(x) for row in m.entries for x in row]
+        raise
+    return texts[m.rank_array()].tolist()
+
+
 def emit_matrix(m: DistanceMatrix, format: str = "json") -> str:
     """Serialize a matrix as json or csv; round trips are bit-exact."""
     if format == "json":
         doc = {
             "vertices": list(m.vertices),
-            "matrix": [[format_weight(x) for x in row] for row in m.entries],
+            "matrix": _cell_texts(m),
             "axiom_class": m.axiom_class.value,
         }
         return json.dumps(doc, separators=(",", ":"))
@@ -177,8 +193,8 @@ def emit_matrix(m: DistanceMatrix, format: str = "json") -> str:
             if "," in name or "\n" in name:
                 raise ParseError(f"vertex name {name!r} cannot appear in csv")
         lines = ["," + ",".join(m.vertices)]
-        for name, row in zip(m.vertices, m.entries):
-            lines.append(name + "," + ",".join(format_weight(x) for x in row))
+        for name, row in zip(m.vertices, _cell_texts(m)):
+            lines.append(name + "," + ",".join(row))
         return "\n".join(lines)
     raise ParseError(f"unknown matrix format {format!r}")
 
@@ -198,7 +214,8 @@ def _json_weight(cell) -> Weight:
 
 
 def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
-    """Inverse of emit_matrix; the axiom class is re-verified, not trusted."""
+    """Inverse of emit_matrix; the axiom class is re-verified, not trusted.
+    The first bad cell in row-major order is the one reported."""
     if format == "json":
         try:
             doc = json.loads(text)
@@ -213,12 +230,14 @@ def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
             and all(isinstance(r, list) for r in rows)
         ):
             raise ParseError("bad matrix json: wrong field types")
-        return distance_matrix(vertices, [[_json_weight(x) for x in r] for r in rows])
+        code, values = _interner(_json_weight)
+        return _from_codes(vertices, [[code(x) for x in r] for r in rows], values)
     if format == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or not lines[0].startswith(","):
             raise ParseError("bad matrix csv: missing header")
         vertices = lines[0].split(",")[1:]
+        code, values = _interner(parse_weight)
         rows = []
         if len(lines) != len(vertices) + 1:
             raise ParseError("bad matrix csv: row count mismatch")
@@ -226,8 +245,8 @@ def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
             cells = ln.split(",")
             if len(cells) != len(vertices) + 1 or cells[0] != name:
                 raise ParseError(f"bad matrix csv row for {name!r}")
-            rows.append([parse_weight(x) for x in cells[1:]])
-        return distance_matrix(vertices, rows)
+            rows.append([code(x) for x in cells[1:]])
+        return _from_codes(vertices, rows, values)
     raise ParseError(f"unknown matrix format {format!r}")
 
 

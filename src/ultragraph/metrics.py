@@ -7,15 +7,16 @@ finite connected graph equals the minimax (bottleneck) path distance;
 weighting, the usual min-sum path distance. Both are exact.
 
 Every matrix records the strongest axiom class its entries actually
-satisfy; the class is verified at construction, never assumed. The
-min-sum layer runs on exact integers: the entries (or edge weights)
+satisfy; the class is verified at construction, never assumed. A matrix
+holds its sorted distinct values and each entry's int32 rank among them,
+so each distinct value is converted, rescaled and formatted once. The
+min-sum layer runs on exact integers: the values (or edge weights)
 times the lcm of their denominators, which preserves every comparison
 and every sum; only when coprime denominators make that lcm wider than
 ``_SCALE_BITS`` do the Fractions stand for themselves. Dijkstra, the
-plain-triangle check, the rank recoding, ``compare`` and the betweenness
-exponent's ties use them. The strong-triangle check runs on the
-order-isomorphic rank recoding. Both checks are vectorized per middle
-vertex, and the verdicts stay exact.
+plain-triangle check, ``compare`` and the betweenness exponent's ties
+use them; the strong-triangle check runs on the ranks. Both checks are
+vectorized per middle vertex, and the verdicts stay exact.
 """
 
 from __future__ import annotations
@@ -85,13 +86,15 @@ _IMPLIED = {
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric square matrix of exact distances with a verified class."""
+    """Symmetric square matrix of exact distances with a verified class;
+    ``_values`` are the distinct entries, increasing, indexed by ``_ranks``."""
 
     vertices: tuple[Vertex, ...]
     entries: tuple[tuple[Weight, ...], ...]
     axiom_class: AxiomClass
     _ranks: np.ndarray = field(compare=False, repr=False)
     _index: dict = field(compare=False, repr=False)
+    _values: tuple[Weight, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -218,15 +221,51 @@ def _classify(d: np.ndarray, ranks: np.ndarray) -> AxiomClass:
     return AxiomClass.METRIC if positive else AxiomClass.PSEUDOMETRIC
 
 
-def _finish(vertices: tuple[Vertex, ...], rows, d: np.ndarray, ranks=None):
-    """Matrix of ``rows``, classified on their exact array ``d``."""
-    if ranks is None:
-        ranks = _recode_ranks(d)
-    cls = _classify(d, ranks)
-    entries = tuple(tuple(row) for row in rows)
+def _from_values(vertices: Sequence[Vertex], values: Sequence[Weight], ranks: np.ndarray):
+    """Classified matrix with entries ``values[ranks]``: ``values`` must be
+    the distinct entries, increasing, and ``ranks`` int32, their dense recoding."""
+    values = tuple(values)
+    cls = _classify(_as_array(*_rescale(values))[ranks], ranks)
+    entries = tuple(map(tuple, np.array(values, dtype=object)[ranks].tolist()))
     ranks.flags.writeable = False
     index = {v: i for i, v in enumerate(vertices)}
-    return DistanceMatrix(vertices, entries, cls, ranks, index)
+    return DistanceMatrix(tuple(vertices), entries, cls, ranks, index, values)
+
+
+def _check_vertices(verts: tuple[Vertex, ...]) -> None:
+    if len(set(verts)) != len(verts) or not verts:
+        raise VertexMismatchError("vertex names must be nonempty and distinct")
+
+
+def _interner(convert):
+    """``(code, values)``: ``code`` numbers the distinct cells from 0, keyed
+    by type and value, and ``values[code(cell)]`` is ``convert(cell)``, run
+    once per distinct cell; an unhashable cell goes to ``convert`` to be refused."""
+    codes: dict = {}
+    values: list[Weight] = []
+
+    def code(cell) -> int:
+        key = (type(cell), cell)  # a float is no int, however equal
+        try:
+            return codes[key]
+        except (KeyError, TypeError):
+            values.append(convert(cell))
+            return codes.setdefault(key, len(codes))
+
+    return code, values
+
+
+def _from_codes(vertices: Sequence[Vertex], codes: list[list[int]], values: list[Weight]):
+    """Matrix over ``vertices`` whose cells hold ``_interner`` codes into
+    ``values``; checks the names and the square shape."""
+    _check_vertices(vertices)
+    n = len(vertices)
+    if len(codes) != n or any(len(r) != n for r in codes):
+        raise VertexMismatchError(f"entries must form a {n}x{n} square")
+    distinct = sorted(set(values))  # two spellings may give one value
+    rank = {w: k for k, w in enumerate(distinct)}
+    recode = np.array([rank[w] for w in values], dtype=np.int32)
+    return _from_values(vertices, distinct, recode[np.array(codes)])
 
 
 def distance_matrix(vertices: Sequence[Vertex], entries) -> DistanceMatrix:
@@ -237,13 +276,9 @@ def distance_matrix(vertices: Sequence[Vertex], entries) -> DistanceMatrix:
     ``none`` and validate will name the offending pair).
     """
     verts = tuple(vertices)
-    n = len(verts)
-    if len(set(verts)) != n or n == 0:
-        raise VertexMismatchError("vertex names must be nonempty and distinct")
-    rows = [[to_weight(x) for x in row] for row in entries]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise VertexMismatchError(f"entries must form a {n}x{n} square")
-    return _finish(verts, rows, _exact_array(rows))
+    _check_vertices(verts)  # before any entry, so that its error comes first
+    code, values = _interner(to_weight)
+    return _from_codes(verts, [[code(x) for x in row] for row in entries], values)
 
 
 def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
@@ -273,7 +308,7 @@ def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
         if w:
             return fail("strong-triangle", w)
     else:
-        w = _scan_witness(_exact_array(rows), np.add)
+        w = _scan_witness(_as_array(*_rescale(m._values))[ranks], np.add)
         if w:
             return fail("triangle", w)
     if target in (AxiomClass.METRIC, AxiomClass.ULTRAMETRIC):
@@ -353,9 +388,7 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
         for a, b in merges:
             ranks[np.asarray(a)[:, None], b] = len(weights) - 1
             ranks[np.asarray(b)[:, None], a] = len(weights) - 1
-    values = np.asarray(weights, dtype=object)[ranks]
-    d = _as_array(*_rescale(weights))[ranks]
-    return _finish(g.vertices, values.tolist(), d, ranks)
+    return _from_values(g.vertices, weights, ranks)
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
@@ -390,11 +423,11 @@ def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
                     dist[nb] = d + k
                     heapq.heappush(heap, (d + k, nb))
         flat += dist
-    d = _as_array(flat, scale).reshape(n, n)
+    stand_ins, ranks = np.unique(_as_array(flat, scale), return_inverse=True)
+    values = stand_ins.tolist()
     if scale is not None:  # back to Fractions, one per distinct distance
-        exact = {x: Fraction(x, scale) for x in set(flat)}
-        flat = [exact[x] for x in flat]
-    return _finish(verts, [flat[i : i + n] for i in range(0, n * n, n)], d)
+        values = [Fraction(x, scale) for x in values]
+    return _from_values(verts, values, ranks.astype(np.int32).reshape(n, n))
 
 
 def compare(m1: DistanceMatrix, m2: DistanceMatrix) -> PartialOrderResult:
@@ -620,7 +653,7 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
         )
     # The exact stand-ins keep the ties exact, and both int / int and a
     # Fraction ratio round correctly, giving the floats of the entries' ratios.
-    rows = _exact_array(m.entries).tolist()
+    rows = _as_array(*_rescale(m._values))[m.rank_array()].tolist()
     best = INFINITE_EXPONENT
     n = len(m.vertices)
     for i, j, k in combinations(range(n), 3):

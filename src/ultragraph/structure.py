@@ -70,7 +70,9 @@ def is_star(g: WeightedGraph) -> bool:
     vertex; such graphs are exactly the trees of diameter at most two
     with at least one edge.
     """
-    parts = multipartite_parts(g)
-    if parts is None or len(parts) != 2:
-        return False
-    return any(len(block) == 1 for block in parts.blocks)
+    return _is_star(multipartite_parts(g))
+
+
+def _is_star(parts: Partition | None) -> bool:
+    """``is_star`` of a graph whose ``multipartite_parts`` are ``parts``."""
+    return parts is not None and len(parts) == 2 and any(len(b) == 1 for b in parts.blocks)

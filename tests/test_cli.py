@@ -3,11 +3,13 @@
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from ultragraph import cli as cli_module, structure
 from ultragraph.cli import main
 
 TRIANGLE_123 = "a b 1\nb c 2\na c 3\n"
@@ -182,6 +184,20 @@ class TestStructure:
         assert "star: yes" in out
         assert "tree: yes" in out
 
+    @pytest.mark.parametrize("text", [UNIT_C4, "z x 1\nz y 3\n", "a b 1\nvertex c\n"])
+    def test_parts_computed_once(self, cli, text):
+        calls, parts = [], structure.multipartite_parts
+
+        def counted(g):
+            calls.append(g)
+            return parts(g)
+
+        with mock.patch.object(cli_module, "multipartite_parts", counted), \
+                mock.patch.object(structure, "multipartite_parts", counted):
+            code, out, _ = cli(["structure"], text)
+        assert code == 0 and out.count("\n") == 4
+        assert len(calls) == 1
+
 
 class TestExponent:
     def test_infinite(self, cli):
@@ -253,6 +269,15 @@ class TestAugment:
         assert code == 2
         assert out == ""
         assert err == "parse-error: vertex name '#x' cannot appear in an edge list\n"
+
+    def test_runs_in_one_process_do_not_share_constants(self, cli):
+        # The parser is built once per process; its --const default must
+        # not collect the values of earlier runs.
+        first = cli(["augment", "--const", "x=5"], "a b 1\nx y 2\n")
+        second = cli(["augment", "--const", "y=7"], "a b 1\ny z 2\n")
+        assert first[0] == second[0] == 0
+        assert second[1].endswith("a b 1\na y 7\ny z 2\n")
+        assert cli(["augment"], "a b 1\n") == (0, "vertex a\nvertex b\na b 1\n", "")
 
     def test_unknown_vertex_in_const(self, cli):
         code, out, err = cli(["augment", "--const", "zz=1"], "a b 1\nx y 2\n")
@@ -376,6 +401,15 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage-error: argument ")
+        assert err.count("\n") == 1
+
+    def test_usage_error_after_a_successful_run(self, cli, capsys):
+        assert cli(["check"], TRIANGLE_122)[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--format", "csv"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error: unrecognized arguments")
         assert err.count("\n") == 1
 
     def test_bad_format_choice(self, monkeypatch, capsys):

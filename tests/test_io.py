@@ -120,6 +120,19 @@ class TestParseEdgeList:
         with pytest.raises(ug.NegativeWeightError):
             ug.parse_edge_list("a b -1")
 
+    def test_repeated_overlong_literal_reports_its_first_line(self):
+        long = "1" * 1001
+        with pytest.raises(ug.ParseError) as info:
+            ug.parse_edge_list(f"a b 1\nb c {long}\nc d 2\nd e {long}\n")
+        assert str(info.value) == (
+            "line 2: weight literal longer than 1000 characters "
+            "or with an exponent beyond 1000 in size"
+        )
+
+    def test_repeated_literals_share_one_value(self):
+        g = ug.parse_edge_list("a b 1/2\nb c 0.5\nc d 1/2\n")
+        assert g.weight("a", "b") == g.weight("b", "c") == g.weight("c", "d") == Fraction(1, 2)
+
 
 class TestEdgeListRoundTrip:
     def test_declarations_come_first(self):
@@ -241,6 +254,30 @@ class TestMatrixSerialization:
     def test_malformed_json_matrices_are_parse_errors(self, text):
         with pytest.raises(ug.ParseError):
             ug.parse_matrix(text, "json")
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ('[["0","1"],["1",true]]', "bad matrix json: cell true is neither a weight string nor an integer"),
+            ("[[0,1],[true,0]]", "bad matrix json: cell true is neither a weight string nor an integer"),
+            ("[[0,1],[1.0,0]]", "bad matrix json: cell 1.0 is neither a weight string nor an integer"),
+            ('[["0","1"],["1","x"]]', "bad weight literal 'x'"),
+            ('[["1/2","0.5"],["2/4",[0]]]', "bad matrix json: cell [0] is neither a weight string nor an integer"),
+            ('[["0",1],[1,"-1"]]', "weight -1 is negative"),
+        ],
+    )
+    def test_first_bad_json_cell_after_good_repeats(self, matrix, message):
+        with pytest.raises(ug.UltragraphError) as info:
+            ug.parse_matrix('{"vertices":["a","b"],"matrix":%s}' % matrix)
+        assert str(info.value) == message
+
+    def test_bad_cells_are_reported_before_bad_names_or_shapes(self):
+        with pytest.raises(ug.ParseError, match="^bad weight literal 'y'$"):
+            ug.parse_matrix('{"vertices":["a","a"],"matrix":[["0","1"],["1","y"]]}')
+        with pytest.raises(ug.ParseError, match=re.escape("bad weight literal '1/0'")):
+            ug.parse_matrix(",a,b\na,0,1\nb,1,1/0", "csv")
+        with pytest.raises(ug.VertexMismatchError, match="^entries must form a 2x2 square$"):
+            ug.parse_matrix('{"vertices":["a","b"],"matrix":[["0","1"],["1"]]}')
 
     def test_comma_in_vertex_name_rejected_for_csv(self):
         m = ug.distance_matrix(["a,b", "c"], [[0, 1], [1, 0]])

@@ -478,3 +478,55 @@ class TestRankArray:
         arr = m.rank_array()
         assert arr[0][1] < arr[1][2] < arr[0][2]
         assert arr[0][0] == arr[1][1] == arr[2][2]
+
+
+class TestInternedCells:
+    """Each distinct cell is converted once; errors stay those of a
+    cell-by-cell pass, for the first bad cell in row-major order."""
+
+    def raises(self, exc_type, message, fn, *args):
+        with pytest.raises(exc_type) as info:
+            fn(*args)
+        assert str(info.value) == message
+
+    def test_float_after_an_equal_int_is_refused(self):
+        float_message = (
+            "refusing to build an exact weight from float; pass a string, int or Fraction"
+        )
+        self.raises(TypeError, float_message, ug.distance_matrix, "ab", [[0, 1], [1.0, 0]])
+        self.raises(TypeError, float_message, ug.distance_matrix, "ab", [[0.0, 1], [1, 0]])
+
+    def test_equal_cells_of_other_types_share_a_value(self):
+        m = ug.distance_matrix("ab", [[0, Fraction(1)], ["1", 0]])
+        assert m.entries == ((0, 1), (1, 0))
+        assert m.axiom_class is AxiomClass.ULTRAMETRIC
+
+    def test_first_negative_cell_is_reported(self):
+        cells = [[0, 1, 1], [1, 0, "-1/2"], [-3, 2, 0]]
+        self.raises(ug.NegativeWeightError, "weight -1/2 is negative",
+                    ug.distance_matrix, "abc", cells)
+        self.raises(ug.NegativeWeightError, "weight -1 is negative",
+                    ug.distance_matrix, "ab", [[0, -1], [-1, 0]])
+
+    def test_vertex_names_are_checked_before_cells(self):
+        self.raises(ug.VertexMismatchError, "vertex names must be nonempty and distinct",
+                    ug.distance_matrix, "aa", [[0, -1], [1, 0]])
+
+    def test_cells_are_checked_before_the_shape(self):
+        self.raises(ug.NegativeWeightError, "weight -2 is negative",
+                    ug.distance_matrix, "ab", [[0, 1], [-2]])
+        self.raises(ug.VertexMismatchError, "entries must form a 2x2 square",
+                    ug.distance_matrix, "ab", [[0, 1], [1]])
+
+    def test_unhashable_cell_is_refused_as_before(self):
+        self.raises(TypeError, "argument should be a string or a Rational instance",
+                    ug.distance_matrix, "ab", [[0, 1], [1, [1]]])
+
+    def test_value_too_long_to_print_names_the_first_cell(self):
+        # Formatting runs per distinct value, smallest first; the error
+        # still names the first such cell in row-major order.
+        m = ug.distance_matrix("ab", [[0, 10**6000], [10**5000, 0]])
+        for fmt in ("json", "csv"):
+            self.raises(ug.DigitLimitError,
+                        "a value with about 6000 digits is too long to convert to text",
+                        ug.emit_matrix, m, fmt)

@@ -1,6 +1,7 @@
 """Property-based checks pitting the fast implementations against the
 brute-force oracles and against each other."""
 
+import json
 import random
 from collections import deque
 from contextlib import nullcontext
@@ -648,3 +649,87 @@ def test_multipartite_parts_matches_complement_reference_on_atlas():
     for G in atlas_graphs(6):
         g = from_networkx(G)
         assert ug.multipartite_parts(g) == reference_multipartite_parts(g)
+
+
+# The interned builders (each distinct cell parsed, converted and
+# formatted once) against the per-cell path they replaced: every cell
+# through to_weight, the exact array, the rank recoding and format_weight.
+
+
+def spellings(w):
+    """Literals of ``w``: its emitted form, p/q, 2p/2q, a padded decimal,
+    and a JSON integer when it is one."""
+    out = [ug.format_weight(w), f"{w.numerator}/{w.denominator}",
+           f"{2 * w.numerator}/{2 * w.denominator}"]
+    if "." in out[0]:
+        out.append(out[0] + "0")
+    if w.denominator == 1:
+        out += [w.numerator, f"{w.numerator}.0"]
+    if w == 0:
+        out.append("-0")
+    return out
+
+
+@st.composite
+def spelled_matrices(draw, max_n=6):
+    """Square cells over a pool of at most four values, zero among them,
+    each cell spelled at random; symmetric with zero diagonal or not."""
+    n = draw(st.integers(1, max_n))
+    pool = [Fraction(0)] + draw(st.lists(ENTRIES, min_size=1, max_size=3))
+    values = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i, j in combinations(range(n), 2):
+            values[j][i] = values[i][j]
+        for i in range(n):
+            values[i][i] = Fraction(0)
+    return [[draw(st.sampled_from(spellings(w))) for w in row] for row in values]
+
+
+def per_cell(names, cells):
+    """(entries, class, ranks, json, csv) the way the per-cell path made them."""
+    rows = [[ug.to_weight(x) for x in row] for row in cells]
+    d = _exact_array(rows)
+    ranks = _recode_ranks(d)
+    cls = metrics._classify(d, ranks)
+    texts = [[ug.format_weight(x) for x in row] for row in rows]
+    doc = {"vertices": names, "matrix": texts, "axiom_class": cls.value}
+    csv = [",".join(["", *names])] + [",".join([v, *r]) for v, r in zip(names, texts)]
+    return (tuple(map(tuple, rows)), cls, ranks,
+            json.dumps(doc, separators=(",", ":")), "\n".join(csv))
+
+
+def as_built(m):
+    return (m.entries, m.axiom_class, m.rank_array(),
+            ug.emit_matrix(m, "json"), ug.emit_matrix(m, "csv"))
+
+
+def assert_same(got, want):
+    assert got[:2] == want[:2]
+    assert got[2].dtype == want[2].dtype == np.int32
+    assert np.array_equal(got[2], want[2])
+    assert got[3:] == want[3:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_matrices())
+def test_matrix_builders_match_the_per_cell_path(cells):
+    names = [f"v{i}" for i in range(len(cells))]
+    json_text = json.dumps({"vertices": names, "matrix": cells})
+    csv_text = "\n".join(
+        [",".join(["", *names])] + [",".join([v, *map(str, r)]) for v, r in zip(names, cells)]
+    )
+    for wide in (False, True):
+        with stand_ins(wide):
+            want = per_cell(names, cells)
+            assert_same(as_built(ug.distance_matrix(names, cells)), want)
+            assert_same(as_built(ug.parse_matrix(json_text)), want)
+            assert_same(as_built(ug.parse_matrix(csv_text, "csv")), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_graphs())
+def test_graph_builders_match_the_per_cell_path(g):
+    for wide in (False, True):
+        with stand_ins(wide):
+            for m in (ug.subdominant_matrix(g), ug.shortest_path_matrix(g)):
+                assert_same(as_built(m), per_cell(list(g.vertices), m.entries))
