@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     BadHubIndexError,
     MissingConstantError,
@@ -35,7 +37,6 @@ from .errors import (
 from .graph import (
     Cycle,
     Vertex,
-    Weight,
     WeightedGraph,
     build_graph,
     connected_components,
@@ -45,9 +46,9 @@ from .graph import (
 from .metrics import (
     AxiomClass,
     DistanceMatrix,
+    _from_values,
     _graph_levels,
     _require_connected,
-    distance_matrix,
     subdominant_matrix,
 )
 from .structure import find_multipartite_obstruction, multipartite_parts
@@ -167,28 +168,26 @@ def _block_forest(adj: list[list[int]]):
 
 def _twice_max_analysis(
     g: WeightedGraph,
-) -> tuple[PairSet, dict[Pair, Weight]]:
-    """Split the nonadjacent pairs by unique-maximum-path existence.
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """Split the nonadjacent index pairs by unique-maximum-path existence.
 
-    Returns (pairs with no unique-max path, the least weight of a
+    Returns (pairs with no unique-max path, the weight level of the least
     unique-max path's dominant edge for each of the others), deciding
     each weight level on one block-vertex forest (see the module docstring).
     """
     _require_connected(g)
 
-    verts = g.vertices
-    n = len(verts)
-    idx = g._index
-    levels: dict[Weight, list[tuple[int, int]]] = {}
-    for u, v, w in g.weighted_edges():
-        levels.setdefault(w, []).append((idx[u], idx[v]))
-    joined = {e for batch in levels.values() for e in batch}
+    n = len(g.vertices)
+    levels: list[list[tuple[int, int]]] = [[] for _ in g._levels]
+    for i, j, k in g._level_edges:
+        levels[k].append((i, j))
+    joined = {(i, j) for i, j, _ in g._level_edges}
     unresolved = [
         (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in joined
     ]
-    values: dict[Pair, Weight] = {}
+    values: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(n)]  # the lighter graph
-    for w in sorted(levels):
+    for w, batch in enumerate(levels):
         if not unresolved:
             break
         comp, parent, order, key = _block_forest(adj)
@@ -204,7 +203,7 @@ def _twice_max_analysis(
             return a
 
         cross = set()
-        for x, y in levels[w]:
+        for x, y in batch:
             if comp[x] != comp[y]:
                 cross |= {(comp[x], comp[y]), (comp[y], comp[x])}
                 continue
@@ -223,21 +222,21 @@ def _twice_max_analysis(
         still = []
         for p, q in unresolved:
             if piece[p] != piece[q] and (comp[p] == comp[q] or (comp[p], comp[q]) in cross):
-                values[verts[p], verts[q]] = w
+                values[p, q] = w
             else:
                 still.append((p, q))
         unresolved = still
-        for x, y in levels[w]:
+        for x, y in batch:
             adj[x].append(y)
             adj[y].append(x)
 
-    return frozenset((verts[p], verts[q]) for p, q in unresolved), values
+    return unresolved, values
 
 
 def twice_max_pairs(g: WeightedGraph) -> PairSet:
     """Nonadjacent pairs whose every connecting path has >= 2 maximal edges."""
     pairs, _ = _twice_max_analysis(g)
-    return pairs
+    return frozenset((g.vertices[p], g.vertices[q]) for p, q in pairs)
 
 
 def well_chained_pairs(g: WeightedGraph) -> PairSet:
@@ -281,12 +280,13 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
         raise NotExtendableError(report.witness)
 
     _, values = _twice_max_analysis(g)  # twice-max pairs stay at 0
-    idx = g._index
-    rows = [[Fraction(0)] * len(idx) for _ in idx]
-    for (u, v), d in ({(u, v): w for u, v, w in g.weighted_edges()} | values).items():
-        rows[idx[u]][idx[v]] = rows[idx[v]][idx[u]] = d
-
-    m = distance_matrix(g.vertices, rows)
+    # Ranks into the weight levels, with 0 in front unless it is a weight.
+    shift = int(g._levels[0] != 0)
+    table = (Fraction(0),) * shift + g._levels
+    ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
+    for i, j, k in [*g._level_edges, *((p, q, k) for (p, q), k in values.items())]:
+        ranks[i, j] = ranks[j, i] = k + shift
+    m = _from_values(g.vertices, table, ranks)
     if not m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC):
         raise NotPseudoultrametricError(
             "least-extension values are inconsistent; input is outside "

@@ -5,6 +5,11 @@ canonical order used everywhere downstream: it fixes matrix rows, edge
 canonicalization and all deterministic output. Weights are
 :class:`fractions.Fraction` values; equality and ordering of weights are
 exact, which the extension criteria depend on.
+Every verdict but the min-sum distance reads the weights only through
+their order, so ``build_graph`` decides it once: a graph carries its
+sorted distinct weights, ``_levels``, and its edges in canonical order
+as ``(i, j, level)``, ``_level_edges``, for downstream code to sort and
+group as integers.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ class WeightedGraph:
     _weights: Mapping[Edge, Weight] = field(repr=False)
     _index: Mapping[Vertex, int] = field(repr=False)
     _adjacency: Mapping[Vertex, tuple[Vertex, ...]] = field(repr=False)
+    _levels: tuple[Weight, ...] = field(compare=False, repr=False)
+    _level_edges: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
 
     def vertex_index(self, v: Vertex) -> int:
         try:
@@ -155,7 +162,14 @@ def build_graph(
     adj = {
         v: tuple(sorted(ns, key=index.__getitem__)) for v, ns in adjacency.items()
     }
-    return WeightedGraph(verts, {e: weights[e] for e in canonical}, index, adj)
+    # The order of the weights, once. Fractions are normalized, so (p, q)
+    # keys them exactly, and hashing it is cheaper than hashing a Fraction.
+    ws = [weights[e] for e in canonical]
+    keys = [w.as_integer_ratio() for w in ws]
+    levels = tuple(sorted(dict(zip(keys, ws)).values()))
+    level = {w.as_integer_ratio(): k for k, w in enumerate(levels)}
+    edges = tuple((index[u], index[v], level[k]) for (u, v), k in zip(canonical, keys))
+    return WeightedGraph(verts, dict(zip(canonical, ws)), index, adj, levels, edges)
 
 
 def connected_components(g: WeightedGraph) -> Partition:

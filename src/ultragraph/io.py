@@ -190,7 +190,8 @@ def emit_matrix(m: DistanceMatrix, format: str = "json") -> str:
         return json.dumps(doc, separators=(",", ":"))
     if format == "csv":
         for name in m.vertices:
-            if "," in name or "\n" in name:
+            # parse_matrix splits rows at every line break str.splitlines knows
+            if "," in name or len((name + ".").splitlines()) > 1:
                 raise ParseError(f"vertex name {name!r} cannot appear in csv")
         lines = ["," + ",".join(m.vertices)]
         for name, row in zip(m.vertices, _cell_texts(m)):

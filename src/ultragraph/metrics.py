@@ -9,14 +9,17 @@ weighting, the usual min-sum path distance. Both are exact.
 Every matrix records the strongest axiom class its entries actually
 satisfy; the class is verified at construction, never assumed. A matrix
 holds its sorted distinct values and each entry's int32 rank among them,
-so each distinct value is converted, rescaled and formatted once. The
-min-sum layer runs on exact integers: the values (or edge weights)
-times the lcm of their denominators, which preserves every comparison
-and every sum; only when coprime denominators make that lcm wider than
-``_SCALE_BITS`` do the Fractions stand for themselves. Dijkstra, the
-plain-triangle check, ``compare`` and the betweenness exponent's ties
-use them; the strong-triangle check runs on the ranks. Both checks are
-vectorized per middle vertex, and the verdicts stay exact.
+so each distinct value is converted, rescaled and formatted once; a
+graph brings its weights as integer levels (see ``graph``). One table,
+``_CHECKS``, lists each class's checks: ``validate`` walks them in scan
+order, ``_classify`` takes the strongest class that passes them, and all
+but the plain triangle read the ranks alone. The min-sum layer runs on
+exact integers: the values (or edge weights) times the lcm of their
+denominators, which preserves every comparison and every sum; only when
+coprime denominators make that lcm wider than ``_SCALE_BITS`` do the
+Fractions stand for themselves. Dijkstra, the plain-triangle check,
+``compare`` and the betweenness exponent's ties use them. Both triangle
+checks are vectorized per middle vertex, and the verdicts stay exact.
 """
 
 from __future__ import annotations
@@ -164,29 +167,10 @@ def _as_array(values: list, scale: int | None) -> np.ndarray:
     return np.array(values, dtype=np.int64 if narrow else object)
 
 
-def _exact_array(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
-    """Exact stand-ins for the entries, one array row per row."""
-    flat = [x for row in rows for x in row]
-    return _as_array(*_rescale(flat)).reshape(len(rows), -1)
-
-
-def _recode_ranks(d: np.ndarray) -> np.ndarray:
-    """Dense integer ranks from 0 with the same comparison structure as ``d``."""
-    _, inverse = np.unique(d.ravel(), return_inverse=True)
-    return inverse.astype(np.int32).reshape(d.shape)
-
-
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first true cell in row-major order, else None."""
     hits = np.argwhere(bad)
     return tuple(map(int, hits[0])) if len(hits) else None
-
-
-def _diagonal_witness(rows) -> tuple[int] | None:
-    for i, row in enumerate(rows):
-        if row[i] != 0:
-            return (i,)
-    return None
 
 
 def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | None:
@@ -203,29 +187,53 @@ def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | N
     return None
 
 
-def _zero_offdiagonal_witness(ranks: np.ndarray) -> tuple[int, int] | None:
-    # Rank 0 is the value 0 once the diagonal is known to be zero.
+def _witness(kind: str, ranks: np.ndarray, values: Sequence[Weight]) -> tuple[int, ...] | None:
+    """First witness against one check in scan order, else None, for the
+    entries ``values[ranks]`` (as ``_from_values`` takes them)."""
+    if kind == "asymmetry":
+        return _first(np.triu(ranks != ranks.T))
+    if kind == "nonzero-diagonal":  # rank 0 is the value 0 if any entry is
+        return _first(np.diagonal(ranks) != 0) if values[0] == 0 else (0,)
+    if kind == "strong-triangle":
+        return _scan_witness(ranks, np.maximum)
+    if kind == "triangle":
+        return _scan_witness(_as_array(*_rescale(values))[ranks], np.add)
+    # zero-off-diagonal, checked once the diagonal is zero
     return _first((ranks == 0) & ~np.eye(len(ranks), dtype=bool))
 
 
-def _classify(d: np.ndarray, ranks: np.ndarray) -> AxiomClass:
-    # Symmetry is a rank question: the recoding preserves equality.
-    if not np.array_equal(ranks, ranks.T) or _diagonal_witness(d):
-        return AxiomClass.NONE
-    strong = _scan_witness(ranks, np.maximum) is None
-    if not strong and _scan_witness(d, np.add) is not None:
-        return AxiomClass.NONE
-    positive = _zero_offdiagonal_witness(ranks) is None
-    if strong:
-        return AxiomClass.ULTRAMETRIC if positive else AxiomClass.PSEUDOULTRAMETRIC
-    return AxiomClass.METRIC if positive else AxiomClass.PSEUDOMETRIC
+# The checks of every class, then each class's own, in scan order. A
+# class comes after every class it implies, so reversed, the first class
+# that passes is the strongest.
+_BASE_CHECKS = ("asymmetry", "nonzero-diagonal")
+_CHECKS = {
+    AxiomClass.NONE: (),
+    AxiomClass.PSEUDOMETRIC: ("triangle",),
+    AxiomClass.METRIC: ("triangle", "zero-off-diagonal"),
+    AxiomClass.PSEUDOULTRAMETRIC: ("strong-triangle",),
+    AxiomClass.ULTRAMETRIC: ("strong-triangle", "zero-off-diagonal"),
+}
+
+
+def _classify(ranks: np.ndarray, values: Sequence[Weight]) -> AxiomClass:
+    """Strongest class whose checks pass, running each check at most once;
+    ``NONE`` also when the base checks fail."""
+    passed: dict[str, bool] = {}
+
+    def passes(kind: str) -> bool:
+        if kind not in passed:
+            passed[kind] = _witness(kind, ranks, values) is None
+        return passed[kind]
+
+    strongest = (c for c in reversed(_CHECKS) if all(map(passes, _BASE_CHECKS + _CHECKS[c])))
+    return next(strongest, AxiomClass.NONE)
 
 
 def _from_values(vertices: Sequence[Vertex], values: Sequence[Weight], ranks: np.ndarray):
     """Classified matrix with entries ``values[ranks]``: ``values`` must be
     the distinct entries, increasing, and ``ranks`` int32, their dense recoding."""
     values = tuple(values)
-    cls = _classify(_as_array(*_rescale(values))[ranks], ranks)
+    cls = _classify(ranks, values)
     entries = tuple(map(tuple, np.array(values, dtype=object)[ranks].tolist()))
     ranks.flags.writeable = False
     index = {v: i for i, v in enumerate(vertices)}
@@ -288,33 +296,10 @@ def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
     asymmetric pair, nonzero diagonal, violating triple, zero
     off-diagonal pair.
     """
-    rows = m.entries
-    ranks = m.rank_array()
-
-    def fail(kind: str, w: tuple[int, ...]) -> Verdict:
-        return Verdict(False, kind, tuple(m.vertices[i] for i in w))
-
-    # The recoding preserves equality, so symmetry is a rank question.
-    w = _first(np.triu(ranks != ranks.T))
-    if w:
-        return fail("asymmetry", w)
-    w = _diagonal_witness(rows)
-    if w:
-        return fail("nonzero-diagonal", w)
-    if target is AxiomClass.NONE:
-        return PASS
-    if target in (AxiomClass.PSEUDOULTRAMETRIC, AxiomClass.ULTRAMETRIC):
-        w = _scan_witness(ranks, np.maximum)
+    for kind in _BASE_CHECKS + _CHECKS[target]:
+        w = _witness(kind, m.rank_array(), m._values)
         if w:
-            return fail("strong-triangle", w)
-    else:
-        w = _scan_witness(_as_array(*_rescale(m._values))[ranks], np.add)
-        if w:
-            return fail("triangle", w)
-    if target in (AxiomClass.METRIC, AxiomClass.ULTRAMETRIC):
-        w = _zero_offdiagonal_witness(ranks)
-        if w:
-            return fail("zero-off-diagonal", w)
+            return Verdict(False, kind, tuple(m.vertices[i] for i in w))
     return PASS
 
 
@@ -324,10 +309,11 @@ def _require_connected(g: WeightedGraph) -> None:
         raise DisconnectedError(comps.blocks[0][0], comps.blocks[1][0])
 
 
-def _merge_levels(n: int, edges: Iterable[tuple[int, int, Weight]]):
-    """Kruskal pass over index edges ``(i, j, w)``, one weight level at a time.
+def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequence[Weight]):
+    """Kruskal pass over index edges ``(i, j, k)`` of weight ``values[k]``,
+    one weight level at a time; ``values`` must be increasing.
 
-    Yields ``(w, closers, merges)`` per distinct weight, increasing.
+    Yields ``(w, closers, merges)`` per level present, increasing.
     ``closers`` are the level's edges whose endpoints strictly lighter
     edges already joined; ``merges`` lists each union in edge order as the
     member lists of the two clusters it fused, survivor first. The lists
@@ -342,7 +328,7 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, Weight]]):
             i = parent[i]
         return i
 
-    for w, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
+    for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
         batch = list(batch)
         closers = [e for e in batch if find(e[0]) == find(e[1])]
         merges = []
@@ -357,15 +343,12 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, Weight]]):
             parent[rb] = ra
             members[ra] = a + b
             members[rb] = []
-        yield w, closers, merges
+        yield values[k], closers, merges
 
 
 def _graph_levels(g: WeightedGraph):
     """``_merge_levels`` over the graph's edges in canonical order."""
-    idx = g._index
-    return _merge_levels(
-        len(g.vertices), [(idx[u], idx[v], w) for u, v, w in g.weighted_edges()]
-    )
+    return _merge_levels(len(g.vertices), g._level_edges, g._levels)
 
 
 def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
@@ -401,13 +384,13 @@ def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
     _require_connected(g)
     verts = g.vertices
     n = len(verts)
-    idx = g._index
-    # Exact stand-ins for the weights (integers on a common denominator
-    # unless that is too wide) keep Dijkstra exact.
-    weights = list({w for _, _, w in g.weighted_edges()})
-    lengths, scale = _rescale(weights)
-    length = dict(zip(weights, lengths))
-    adj = [[(idx[nb], length[g.weight(u, nb)]) for nb in g.neighbors(u)] for u in verts]
+    # Exact stand-ins for the weight levels (integers on a common
+    # denominator unless that is too wide) keep Dijkstra exact.
+    lengths, scale = _rescale(g._levels)
+    adj: list[list] = [[] for _ in verts]
+    for i, j, k in g._level_edges:
+        adj[i].append((j, lengths[k]))
+        adj[j].append((i, lengths[k]))
     zero = Fraction(0) if scale is None else 0
     flat: list = []
     for s in range(n):
@@ -434,11 +417,10 @@ def compare(m1: DistanceMatrix, m2: DistanceMatrix) -> PartialOrderResult:
     """Entrywise comparison under the usual partial order on distances."""
     if m1.vertices != m2.vertices:
         raise VertexMismatchError("matrices are over different vertex lists")
-    n = len(m1.vertices)
-    # One exact array over both matrices puts their entries on one scale.
-    d = _exact_array(m1.entries + m2.entries)
-    upper = np.triu_indices(n, 1)
-    a, b = d[:n][upper], d[n:][upper]
+    # Rescaling both value tables together puts them on one scale.
+    d = _as_array(*_rescale(m1._values + m2._values))
+    upper = np.triu_indices(len(m1.vertices), 1)
+    a, b = d[m1._ranks[upper]], d[len(m1._values) + m2._ranks[upper]]
     le, ge = bool((a <= b).all()), bool((a >= b).all())
     if le and ge:
         return PartialOrderResult.EQUAL
@@ -592,8 +574,9 @@ def dendrogram(m: DistanceMatrix) -> Dendrogram:
             f"matrix class is {m.axiom_class.value}, need ultrametric"
         )
     n = len(m.vertices)
-    pairs = [(i, j, m.entries[i][j]) for i, j in combinations(range(n), 2)]
-    return _merge_tree(m.vertices, _merge_levels(n, pairs))
+    i, j = np.triu_indices(n, 1)
+    pairs = zip(i.tolist(), j.tolist(), m._ranks[i, j].tolist())
+    return _merge_tree(m.vertices, _merge_levels(n, pairs, m._values))
 
 
 def matrix_from_dendrogram(

@@ -1,5 +1,5 @@
 """Random fixture generators shared by the unit, property and acceptance
-suites.
+suites, and a by-name view of the twice-max analysis.
 
 Weight pools are deliberately small for a coin-flip's worth of the
 graphs (probability 0.6), which forces repeated values whenever a graph
@@ -15,6 +15,7 @@ from fractions import Fraction
 import networkx as nx
 
 import ultragraph as ug
+from ultragraph.extension import _twice_max_analysis
 
 WEIGHT_POOL = [
     Fraction(0),
@@ -171,3 +172,16 @@ def from_networkx(
         w = weights[(a, b)] if weights else Fraction(1)
         edges.append((f"v{a}", f"v{b}", w))
     return ug.build_graph(names, edges)
+
+
+def named_twice_max_analysis(
+    g: ug.WeightedGraph,
+) -> tuple[frozenset, dict[tuple[str, str], Fraction]]:
+    """``_twice_max_analysis`` by vertex name and weight: (the twice-max
+    pairs, the least unique-maximum weight of each other nonadjacent pair)."""
+    pairs, levels = _twice_max_analysis(g)
+    v = g.vertices
+    return (
+        frozenset((v[p], v[q]) for p, q in pairs),
+        {(v[p], v[q]): g._levels[k] for (p, q), k in levels.items()},
+    )

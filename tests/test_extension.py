@@ -8,9 +8,9 @@ import pytest
 
 import ultragraph as ug
 from ultragraph import AxiomClass, oracle
-from ultragraph.extension import _block_forest, _twice_max_analysis
+from ultragraph.extension import _block_forest
 
-from corpus import random_connected_graph, random_multipartite
+from corpus import named_twice_max_analysis, random_connected_graph, random_multipartite
 
 
 def triangle123():
@@ -163,7 +163,7 @@ class TestTwiceMaxPairs:
                 ("c", "q", 1), ("x", "y", 2),
             ],
         )
-        pairs, values = _twice_max_analysis(g)
+        pairs, values = named_twice_max_analysis(g)
         assert ("p", "q") in pairs
         assert ("b", "p") not in pairs and values[("b", "p")] == 2
         assert pairs == oracle.oracle_twice_max(g)
@@ -174,7 +174,7 @@ class TestTwiceMaxPairs:
         # reaches y below 2 without passing x, here through the edge mn.
         edges = [("q", "m", 1), ("m", "x", 1), ("x", "n", 1), ("n", "y", 1), ("x", "y", 2)]
         g = ug.build_graph(["x", "q", "m", "n", "y"], edges + [("m", "n", 1)] * detour)
-        pairs, values = _twice_max_analysis(g)
+        pairs, values = named_twice_max_analysis(g)
         assert (("x", "q") not in pairs) == hit
         assert values.get(("x", "q")) == (2 if hit else None)
         assert pairs == oracle.oracle_twice_max(g)
@@ -189,7 +189,7 @@ class TestTwiceMaxPairs:
                 ("b0", "b2", 1), ("a1", "b1", 2), ("a0", "c", 2),
             ],
         )
-        pairs, values = _twice_max_analysis(g)
+        pairs, values = named_twice_max_analysis(g)
         assert values[("a2", "b2")] == values[("a2", "c")] == 2
         assert ("a1", "a2") in pairs  # one component: the bridge cannot help
         assert ("b2", "c") in pairs  # no level-2 edge joins B and C

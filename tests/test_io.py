@@ -285,6 +285,26 @@ class TestMatrixSerialization:
             ug.emit_matrix(m, "csv")
         assert "a,b" in ug.emit_matrix(m, "json")
 
+    @pytest.mark.parametrize(
+        "brk",
+        ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    )
+    @pytest.mark.parametrize("where", ["a{}b", "{}a", "a{}"])
+    def test_line_break_in_vertex_name_rejected_for_csv(self, brk, where):
+        # parse_matrix splits csv rows with str.splitlines, which breaks at each.
+        name = where.format(brk)
+        m = ug.distance_matrix([name, "c"], [["0", "1"], ["1", "0"]])
+        message = f"vertex name {name!r} cannot appear in csv"
+        with pytest.raises(ug.ParseError, match=re.escape(message)):
+            ug.emit_matrix(m, "csv")
+        assert ug.parse_matrix(ug.emit_matrix(m, "json")) == m
+
+    def test_empty_vertex_name_round_trips_through_csv(self):
+        m = ug.distance_matrix(["", "c"], [["0", "1"], ["1", "0"]])
+        text = ug.emit_matrix(m, "csv")
+        assert text == ",,c\n,0,1\nc,1,0"
+        assert ug.parse_matrix(text, "csv") == m
+
 
 class TestNewick:
     def two_level(self):

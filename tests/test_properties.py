@@ -7,6 +7,7 @@ from collections import deque
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations, groupby
+from operator import add
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -16,13 +17,13 @@ from hypothesis import given, settings
 
 import ultragraph as ug
 from ultragraph import AxiomClass, PartialOrderResult, Verdict, metrics, oracle
-from ultragraph.extension import _twice_max_analysis
-from ultragraph.metrics import _exact_array, _recode_ranks, _scan_witness
+from ultragraph.metrics import _as_array, _rescale, _scan_witness
 
 from corpus import (
     atlas_graphs,
     disjoint_union,
     from_networkx,
+    named_twice_max_analysis,
     random_connected_graph,
     random_multipartite,
     random_ultrametric,
@@ -289,12 +290,12 @@ def stand_ins(wide):
     return mock.patch.object(metrics, "_SCALE_BITS", 0) if wide else nullcontext()
 
 
-def reference_triangle_witness(rows):
+def reference_triangle_witness(rows, bound=add):
     n = len(rows)
     for z in range(n):
         for x in range(n):
             for y in range(n):
-                if rows[x][y] > rows[x][z] + rows[z][y]:
+                if rows[x][y] > bound(rows[x][z], rows[z][y]):
                     return (x, z, y)
     return None
 
@@ -314,8 +315,7 @@ def reference_recode_ranks(rows):
     return np.asarray(ranks, dtype=np.int32).reshape(n, n)
 
 
-def reference_validate(m, target):
-    rows, names = m.entries, m.vertices
+def reference_validate(rows, names, target):
     n = len(rows)
     for i, j in combinations(range(n), 2):
         if rows[i][j] != rows[j][i]:
@@ -323,15 +323,42 @@ def reference_validate(m, target):
     for i in range(n):
         if rows[i][i] != 0:
             return Verdict(False, "nonzero-diagonal", (names[i],))
-    w = reference_triangle_witness(rows)
+    if target is AxiomClass.NONE:
+        return ug.PASS
+    if target in (AxiomClass.PSEUDOULTRAMETRIC, AxiomClass.ULTRAMETRIC):
+        w, kind = reference_triangle_witness(rows, max), "strong-triangle"
+    else:
+        w, kind = reference_triangle_witness(rows), "triangle"
     if w:
-        return Verdict(False, "triangle", tuple(names[k] for k in w))
-    if target is AxiomClass.METRIC:
+        return Verdict(False, kind, tuple(names[k] for k in w))
+    if target in (AxiomClass.METRIC, AxiomClass.ULTRAMETRIC):
         for i in range(n):
             for j in range(n):
                 if i != j and rows[i][j] == 0:
                     return Verdict(False, "zero-off-diagonal", (names[i], names[j]))
     return ug.PASS
+
+
+STRONGEST_FIRST = [
+    AxiomClass.ULTRAMETRIC,
+    AxiomClass.PSEUDOULTRAMETRIC,
+    AxiomClass.METRIC,
+    AxiomClass.PSEUDOMETRIC,
+    AxiomClass.NONE,
+]
+
+
+def reference_class(rows):
+    """The strongest class whose reference verdict passes; NONE if none does."""
+    names = range(len(rows))
+    return next(
+        (t for t in STRONGEST_FIRST if reference_validate(rows, names, t)), AxiomClass.NONE
+    )
+
+
+def exact_array(rows):
+    """Exact stand-ins for the entries, one array row per row."""
+    return _as_array(*_rescale([x for row in rows for x in row])).reshape(len(rows), -1)
 
 
 def floyd_warshall(g):
@@ -376,18 +403,18 @@ def square_matrices(draw, max_n=6):
 
 
 def test_exact_array_switches_dtype_where_a_sum_could_wrap():
-    assert _exact_array([[Fraction(2**62 - 1)]]).dtype == np.int64
-    assert _exact_array([[Fraction(2**62)]]).dtype == object
-    big = _exact_array([[Fraction(1, 2), Fraction(2**62, 3)]] * 2)
+    assert exact_array([[Fraction(2**62 - 1)]]).dtype == np.int64
+    assert exact_array([[Fraction(2**62)]]).dtype == object
+    big = exact_array([[Fraction(1, 2), Fraction(2**62, 3)]] * 2)
     assert big.dtype == object and big.tolist()[0] == [3, 2**63]
 
 
 def test_exact_array_keeps_fractions_past_the_scale_width():
     # 2**k + 1 and 2**k + 3 are coprime, so their lcm has about 2k bits.
     narrow = [Fraction(1, 2**500 + 1), Fraction(1, 2**500 + 3)]
-    assert _exact_array([narrow] * 2).tolist()[0] == [2**500 + 3, 2**500 + 1]
+    assert exact_array([narrow] * 2).tolist()[0] == [2**500 + 3, 2**500 + 1]
     wide = [Fraction(1, 2**600 + 1), Fraction(1, 2**600 + 3)]
-    assert _exact_array([wide] * 2).tolist()[0] == wide
+    assert exact_array([wide] * 2).tolist()[0] == wide
     g = ug.build_graph("abc", [("a", "b", wide[0]), ("b", "c", wide[1])])
     m = ug.shortest_path_matrix(g)
     assert m.entries == tuple(map(tuple, floyd_warshall(g)))
@@ -398,7 +425,7 @@ def test_exact_array_keeps_fractions_past_the_scale_width():
 @given(square_matrices(), st.booleans())
 def test_triangle_witness_matches_fraction_loop(rows, wide):
     with stand_ins(wide):
-        got = _scan_witness(_exact_array(rows), np.add)
+        got = _scan_witness(exact_array(rows), np.add)
     assert got == reference_triangle_witness(rows)
 
 
@@ -406,7 +433,7 @@ def test_triangle_witness_matches_fraction_loop(rows, wide):
 @given(square_matrices(), st.booleans())
 def test_recode_ranks_matches_sort_based_recoding(rows, wide):
     with stand_ins(wide):
-        got = _recode_ranks(_exact_array(rows))
+        got = ug.distance_matrix([f"v{i}" for i in range(len(rows))], rows).rank_array()
     want = reference_recode_ranks(rows)
     assert got.dtype == want.dtype == np.int32
     assert np.array_equal(got, want)
@@ -422,7 +449,19 @@ def test_validate_triangle_witness_matches_reference(rows, target, wide):
     with stand_ins(wide):
         m = ug.distance_matrix([f"v{i}" for i in range(len(rows))], rows)
         got = ug.validate(m, target)
-    assert got == reference_validate(m, target)
+    assert got == reference_validate(m.entries, m.vertices, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_validate_and_axiom_class_match_the_reference(rows):
+    names = [f"v{i}" for i in range(len(rows))]
+    want = [reference_validate(rows, names, t) for t in AxiomClass]
+    for wide in (False, True):
+        with stand_ins(wide):
+            m = ug.distance_matrix(names, rows)
+            assert [ug.validate(m, t) for t in AxiomClass] == want
+        assert m.axiom_class is reference_class(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -434,7 +473,7 @@ def test_shortest_path_matrix_matches_floyd_warshall(g, wide):
     d = floyd_warshall(g)
     assert m.entries == tuple(map(tuple, d))
     assert np.array_equal(m.rank_array(), reference_recode_ranks(d))
-    assert verdict == reference_validate(m, AxiomClass.PSEUDOMETRIC)
+    assert verdict == reference_validate(m.entries, m.vertices, AxiomClass.PSEUDOMETRIC)
 
 
 def reference_compare(m1, m2):
@@ -550,9 +589,9 @@ ZERO_HEAVY = [Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 @st.composite
-def twice_max_graphs(draw, max_n=12):
+def twice_max_graphs(draw, max_n=12, kinds=("corpus", "multipartite", "zero-heavy")):
     rng = random.Random(draw(st.integers(0, 10**9)))
-    kind = draw(st.sampled_from(["corpus", "multipartite", "zero-heavy"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "multipartite":
         return random_multipartite(rng, 2, 4, max_n // 4)
     g = random_connected_graph(rng, 1, max_n)
@@ -564,7 +603,7 @@ def twice_max_graphs(draw, max_n=12):
 @settings(max_examples=300, deadline=None)
 @given(twice_max_graphs())
 def test_twice_max_analysis_matches_flow_reference(g):
-    assert _twice_max_analysis(g) == reference_twice_max_analysis(g)
+    assert named_twice_max_analysis(g) == reference_twice_max_analysis(g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -572,7 +611,7 @@ def test_twice_max_analysis_matches_flow_reference(g):
 def test_twice_max_analysis_matches_oracle(g):
     # A pair outside the family gets the least maximum over its paths
     # whose maximum is unique.
-    pairs, values = _twice_max_analysis(g)
+    pairs, values = named_twice_max_analysis(g)
     assert pairs == oracle.oracle_twice_max(g)
     for (u, v), w in values.items():
         tops = []
@@ -581,6 +620,37 @@ def test_twice_max_analysis_matches_oracle(g):
             if weights.count(max(weights)) == 1:
                 tops.append(max(weights))
         assert w == min(tops)
+
+
+# least_extension against the per-cell path it replaced: a Fraction row
+# per vertex from the weighted edges and the twice-max values, then
+# distance_matrix.
+
+
+def reference_least_extension(g):
+    _, values = named_twice_max_analysis(g)  # twice-max pairs stay at 0
+    idx = g._index
+    rows = [[Fraction(0)] * len(idx) for _ in idx]
+    for (u, v), d in ({(u, v): w for u, v, w in g.weighted_edges()} | values).items():
+        rows[idx[u]][idx[v]] = rows[idx[v]][idx[u]] = d
+    return ug.distance_matrix(g.vertices, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(twice_max_graphs(kinds=("multipartite", "zero-heavy")))
+def test_least_extension_matches_the_per_cell_path(g):
+    # About one zero-heavy draw in six is an extendable complete
+    # multipartite graph, most of those with 0 among the weights.
+    try:
+        got = ug.least_extension(g)
+    except (ug.NotCompleteMultipartiteError, ug.NotExtendableError):
+        return
+    want = reference_least_extension(g)
+    assert got.entries == want.entries
+    assert got.axiom_class is want.axiom_class
+    assert got.rank_array().dtype == want.rank_array().dtype == np.int32
+    assert np.array_equal(got.rank_array(), want.rank_array())
+    assert got._values == want._values
 
 
 # The complement search that multipartite_parts replaced: the parts are
@@ -653,7 +723,8 @@ def test_multipartite_parts_matches_complement_reference_on_atlas():
 
 # The interned builders (each distinct cell parsed, converted and
 # formatted once) against the per-cell path they replaced: every cell
-# through to_weight, the exact array, the rank recoding and format_weight.
+# through to_weight, the sort-based rank recoding, the reference checks
+# and format_weight.
 
 
 def spellings(w):
@@ -688,9 +759,8 @@ def spelled_matrices(draw, max_n=6):
 def per_cell(names, cells):
     """(entries, class, ranks, json, csv) the way the per-cell path made them."""
     rows = [[ug.to_weight(x) for x in row] for row in cells]
-    d = _exact_array(rows)
-    ranks = _recode_ranks(d)
-    cls = metrics._classify(d, ranks)
+    ranks = reference_recode_ranks(rows)
+    cls = reference_class(rows)
     texts = [[ug.format_weight(x) for x in row] for row in rows]
     doc = {"vertices": names, "matrix": texts, "axiom_class": cls.value}
     csv = [",".join(["", *names])] + [",".join([v, *r]) for v, r in zip(names, texts)]
