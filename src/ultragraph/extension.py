@@ -48,6 +48,7 @@ from .metrics import (
     DistanceMatrix,
     _from_values,
     _graph_levels,
+    _merge_levels,
     _require_connected,
     subdominant_matrix,
 )
@@ -247,16 +248,14 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
     positive bound must avoid all positive edges.
     """
     _require_connected(g)
-    zero = build_graph(
-        g.vertices, [(u, v, w) for u, v, w in g.weighted_edges() if w == 0]
-    )
-    result: set[Pair] = set()
-    for block in connected_components(zero).blocks:
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                if not g.has_edge(block[i], block[j]):
-                    result.add((block[i], block[j]))
-    return frozenset(result)
+    zero = [e for e in g._level_edges if e[2] == 0] if g._levels[:1] == (0,) else []
+    joined = {(i, j) for i, j, _ in g._level_edges}
+    pairs = {  # each merge joins every pair across the two classes it fuses
+        (p, q) if p < q else (q, p)
+        for _, _, merges in _merge_levels(len(g.vertices), zero, g._levels)
+        for a, b in merges for p in a for q in b
+    }
+    return frozenset((g.vertices[p], g.vertices[q]) for p, q in pairs - joined)
 
 
 def least_extension(g: WeightedGraph) -> DistanceMatrix:

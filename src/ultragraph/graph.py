@@ -6,14 +6,17 @@ canonicalization and all deterministic output. Weights are
 :class:`fractions.Fraction` values; equality and ordering of weights are
 exact, which the extension criteria depend on.
 Every verdict but the min-sum distance reads the weights only through
-their order, so ``build_graph`` decides it once: a graph carries its
-sorted distinct weights, ``_levels``, and its edges in canonical order
-as ``(i, j, level)``, ``_level_edges``, for downstream code to sort and
-group as integers.
+their order. ``build_graph`` and ``io.parse_edge_list`` check each edge
+as an index pair in one pass and share one assembler, which decides that
+order once: a graph carries its sorted distinct weights, ``_levels``, and
+its edges in canonical order as ``(i, j, level)``, ``_level_edges``, for
+downstream code to sort and group as integers.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +32,25 @@ from .errors import (
 Vertex = str
 Weight = Fraction
 Edge = tuple[Vertex, Vertex]
+
+
+# Widest lcm ``_rescale`` scales by. Coprime denominators can make the lcm
+# as wide as all of them together; up to this width a stand-in is about the
+# size of a Fraction, past it the Fractions stand for themselves.
+_SCALE_BITS = 1024
+
+
+def _rescale(values: Sequence[Weight]) -> tuple[list, int | None]:
+    """Exact stand-ins for ``values`` and their scale: the values times the
+    lcm of their denominators, which preserves every comparison and every
+    sum, and that lcm; the values themselves and None when the lcm is wider
+    than ``_SCALE_BITS``."""
+    scale = 1
+    for q in {x.denominator for x in values}:
+        scale = math.lcm(scale, q)
+        if scale.bit_length() > _SCALE_BITS:
+            return list(values), None
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def to_weight(value) -> Weight:
@@ -140,36 +162,43 @@ def build_graph(
             raise DuplicateEdgeError(f"vertex {v!r} listed twice")
         index[v] = len(index)
 
-    weights: dict[Edge, Weight] = {}
-    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
+    weights: dict[tuple[int, int], Weight] = {}
     for u, v, raw in weighted_edges:
         if u not in index:
             raise UnknownVertexError(f"edge endpoint {u!r} not in vertex list")
         if v not in index:
             raise UnknownVertexError(f"edge endpoint {v!r} not in vertex list")
-        if u == v:
+        i, j = index[u], index[v]
+        if i == j:
             raise SelfLoopError(f"edge {{{u!r},{v!r}}} is a self-loop")
-        key = (u, v) if index[u] < index[v] else (v, u)
+        key = (i, j) if i < j else (j, i)
         if key in weights:
             raise DuplicateEdgeError(f"edge {{{u!r},{v!r}}} given twice")
         # A Fraction with a nonnegative numerator is a weight already.
         weights[key] = raw if type(raw) is Fraction and raw.numerator >= 0 else to_weight(raw)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    return _assemble(verts, index, weights)
 
-    # Edges and neighbourhoods are stored in canonical order, once.
-    canonical = sorted(weights, key=lambda e: (index[e[0]], index[e[1]]))
-    adj = {
-        v: tuple(sorted(ns, key=index.__getitem__)) for v, ns in adjacency.items()
-    }
-    # The order of the weights, once. Fractions are normalized, so (p, q)
-    # keys them exactly, and hashing it is cheaper than hashing a Fraction.
-    ws = [weights[e] for e in canonical]
-    keys = [w.as_integer_ratio() for w in ws]
-    levels = tuple(sorted(dict(zip(keys, ws)).values()))
-    level = {w.as_integer_ratio(): k for k, w in enumerate(levels)}
-    edges = tuple((index[u], index[v], level[k]) for (u, v), k in zip(canonical, keys))
-    return WeightedGraph(verts, dict(zip(canonical, ws)), index, adj, levels, edges)
+
+def _assemble(verts: tuple[Vertex, ...], index: dict, weights: dict) -> WeightedGraph:
+    """The graph on ``verts`` whose edges are the checked index pairs
+    ``(i, j)``, ``i < j``, keying ``weights``: the one assembly path of
+    ``build_graph``, ``parse_edge_list`` and ``strict_threshold_subgraph``."""
+    pairs = sorted(weights)  # the canonical edge order
+    ws = list(map(weights.__getitem__, pairs))
+    adj: list[list[Vertex]] = [[] for _ in verts]
+    for i, j in pairs:  # all lower neighbours come before all higher ones
+        adj[i].append(verts[j])
+        adj[j].append(verts[i])
+    # The order of the weights, once, by exact stand-ins. Equal weights read
+    # from one literal are one object, so each object is rescaled once.
+    objs = dict(zip(map(id, ws), ws))
+    stand = dict(zip(objs, _rescale(list(objs.values()))[0]))
+    value = dict(zip(stand.values(), objs.values()))
+    level = {s: k for k, s in enumerate(sorted(value))}
+    edges = tuple((i, j, level[stand[id(w)]]) for (i, j), w in zip(pairs, ws))
+    named = dict(zip([(verts[i], verts[j]) for i, j in pairs], ws))
+    levels = tuple(map(value.__getitem__, level))
+    return WeightedGraph(verts, named, index, dict(zip(verts, map(tuple, adj))), levels, edges)
 
 
 def connected_components(g: WeightedGraph) -> Partition:
@@ -206,9 +235,9 @@ def strict_threshold_subgraph(g: WeightedGraph, bound) -> WeightedGraph:
 
     Monotone in the bound: raising it can only add edges.
     """
-    b = to_weight(bound)
-    kept = [(u, v, w) for u, v, w in g.weighted_edges() if w < b]
-    return build_graph(g.vertices, kept)
+    cut = bisect_left(g._levels, to_weight(bound))
+    kept = {(i, j): g._levels[k] for i, j, k in g._level_edges if k < cut}
+    return _assemble(g.vertices, g._index, kept)
 
 
 def induced_subgraph(g: WeightedGraph, subset: Iterable[Vertex]) -> WeightedGraph:

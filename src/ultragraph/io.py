@@ -3,7 +3,8 @@
 All serialization is exact. Weights print as the shortest terminating
 decimal when one exists, else as ``p/q``; parsing either form recovers
 the value bit-for-bit, so emit-parse round trips are identities, and
-each distinct literal or matrix value is parsed or formatted once.
+each distinct literal or matrix value is parsed or formatted once. An
+edge list is read in one pass straight into the graph's index form.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -24,7 +25,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graph import Vertex, Weight, WeightedGraph, build_graph, to_weight
+from .graph import Vertex, Weight, WeightedGraph, _assemble, to_weight
 from .metrics import Dendrogram, DistanceMatrix, _from_codes, _interner
 
 
@@ -110,48 +111,40 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     Blank lines and `#` comments are skipped; `vertex <name>` declares a
     vertex without edges (re-declaring is harmless). Vertex order is
-    first-appearance order.
+    first-appearance order. The first negative weight in line order is
+    reported only once every line has parsed.
     """
-    vertices: list[Vertex] = []
-    known: set[Vertex] = set()
-    edges: list[tuple[Vertex, Vertex, Weight]] = []
-    edge_keys: set[frozenset[Vertex]] = set()
+    index: dict[Vertex, int] = {}
+    weights: dict[tuple[int, int], Weight] = {}
     literals: dict[str, Fraction] = {}
 
-    def declare(v: Vertex) -> None:
-        if v not in known:
-            known.add(v)
-            vertices.append(v)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) == 2 and tokens[0] == "vertex":
-            declare(tokens[1])
+            index.setdefault(tokens[1], len(index))
             continue
         if len(tokens) != 3:
-            raise ParseError(
-                "expected 'u v weight' or 'vertex name'", line=lineno
-            )
+            raise ParseError("expected 'u v weight' or 'vertex name'", line=lineno)
         u, v, wtext = tokens
-        if u == v:
+        i = index.setdefault(u, len(index))
+        j = index.setdefault(v, len(index))
+        if i == j:
             raise SelfLoopError(f"line {lineno}: edge {{{u!r},{v!r}}} is a self-loop")
-        key = frozenset((u, v))
-        if key in edge_keys:
+        key = (i, j) if i < j else (j, i)
+        if key in weights:
             raise DuplicateEdgeError(f"line {lineno}: edge {{{u!r},{v!r}}} given twice")
-        edge_keys.add(key)
         w = literals.get(wtext)
         if w is None:
             w = literals[wtext] = _literal_value(wtext, lineno)
-        declare(u)
-        declare(v)
-        edges.append((u, v, w))
+        weights[key] = w
 
-    if not vertices:
+    if not index:
         raise ParseError("no vertices declared")
-    return build_graph(vertices, edges)
+    for w in literals.values():  # ordered by first use, as the edges by line
+        if w.numerator < 0:
+            to_weight(w)  # NegativeWeightError naming the first negative edge's weight
+    return _assemble(tuple(index), index, weights)
 
 
 def emit_edge_list(g: WeightedGraph) -> str:

@@ -16,7 +16,7 @@ order, ``_classify`` takes the strongest class that passes them, and all
 but the plain triangle read the ranks alone. The min-sum layer runs on
 exact integers: the values (or edge weights) times the lcm of their
 denominators, which preserves every comparison and every sum; only when
-coprime denominators make that lcm wider than ``_SCALE_BITS`` do the
+coprime denominators make that lcm wider than ``graph._SCALE_BITS`` do the
 Fractions stand for themselves. Dijkstra, the plain-triangle check,
 ``compare`` and the betweenness exponent's ties use them. Both triangle
 checks are vectorized per middle vertex, and the verdicts stay exact.
@@ -47,6 +47,7 @@ from .graph import (
     Vertex,
     Weight,
     WeightedGraph,
+    _rescale,
     build_graph,
     connected_components,
     to_weight,
@@ -135,29 +136,6 @@ class Verdict:
 
 
 PASS = Verdict(True)
-
-
-# Widest lcm the min-sum layer rescales by. Coprime denominators can make
-# the lcm as wide as all of them together, and every rescaled entry with
-# it; up to this width an integer is about the size of a Fraction entry,
-# past it the Fractions stand for themselves.
-_SCALE_BITS = 1024
-
-
-def _rescale(values: Sequence[Weight]) -> tuple[list, int | None]:
-    """Exact stand-ins for ``values`` and their scale.
-
-    The stand-ins are the values times the lcm of their denominators,
-    which preserves every comparison and every sum, and the scale is that
-    lcm; when it is wider than ``_SCALE_BITS``, the values stand for
-    themselves and the scale is None.
-    """
-    scale = 1
-    for q in {x.denominator for x in values}:
-        scale = math.lcm(scale, q)
-        if scale.bit_length() > _SCALE_BITS:
-            return list(values), None
-    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _as_array(values: list, scale: int | None) -> np.ndarray:

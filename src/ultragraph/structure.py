@@ -2,7 +2,7 @@
 over: forests, trees, complete multipartite graphs, and stars.
 
 Complete-multipartite recognition groups the vertices by neighbourhood
-(the canonical tuples ``build_graph`` stores): the parts of such a graph
+(the canonical tuples every graph stores): the parts of such a graph
 are exactly its classes of equal neighbourhoods. The three-vertex
 obstruction scan in ``find_multipartite_obstruction`` is an independent
 second route to the same question and the two are tested against each

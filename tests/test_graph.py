@@ -92,6 +92,12 @@ class TestBuildGraph:
         assert not g.has_edge("a", "a")
         assert g.edge_count() == 3
 
+    def test_levels_are_ordered_exactly(self):
+        # 1 + 2**-60 and 1 are the same float
+        g = ug.build_graph("abc", [("a", "b", 1 + Fraction(1, 2**60)), ("b", "c", 1)])
+        assert g._levels == (1, 1 + Fraction(1, 2**60))
+        assert g._level_edges == ((0, 1, 1), (1, 2, 0))
+
 
 class TestComponents:
     def test_single_component(self):
@@ -127,6 +133,24 @@ class TestThresholdSubgraph:
     def test_zero_bound_drops_everything(self):
         g = triangle()
         assert ug.strict_threshold_subgraph(g, Fraction(0)).edges == ()
+
+
+    def test_bound_is_checked_as_a_weight(self):
+        g = triangle()
+        with pytest.raises(ug.NegativeWeightError):
+            ug.strict_threshold_subgraph(g, -1)
+        with pytest.raises(TypeError):
+            ug.strict_threshold_subgraph(g, 1.5)
+        with pytest.raises(ValueError):
+            ug.strict_threshold_subgraph(g, "x")
+
+    def test_levels_below_the_bound_are_kept_as_they_are(self):
+        g = ug.build_graph("abcd", [("a", "b", 3), ("b", "c", 1), ("c", "d", "1/2"), ("a", "d", 1)])
+        h = ug.strict_threshold_subgraph(g, "3/2")
+        assert h.edges == (("a", "d"), ("b", "c"), ("c", "d"))
+        assert h._levels == (Fraction(1, 2), 1)
+        assert h._level_edges == ((0, 3, 1), (1, 2, 1), (2, 3, 0))
+        assert h.neighbors("d") == ("a", "c")
 
 
 class TestInducedSubgraph:

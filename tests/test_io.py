@@ -2,7 +2,9 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -132,6 +134,94 @@ class TestParseEdgeList:
     def test_repeated_literals_share_one_value(self):
         g = ug.parse_edge_list("a b 1/2\nb c 0.5\nc d 1/2\n")
         assert g.weight("a", "b") == g.weight("b", "c") == g.weight("c", "d") == Fraction(1, 2)
+
+
+class TestEdgeListErrorOrder:
+    """Which error one pass reports when a text holds several."""
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # a negative weight waits until every line has parsed
+            ("a b -1\nc d 1\na b 2", ug.DuplicateEdgeError, "line 3: edge {'a','b'} given twice"),
+            ("a b -1\nc d x", ug.ParseError, "line 2: bad weight literal 'x'"),
+            ("a b -1\nb c", ug.ParseError, "line 2: expected 'u v weight' or 'vertex name'"),
+            ("a b -1\nb b 1", ug.SelfLoopError, "line 2: edge {'b','b'} is a self-loop"),
+            # the pair is named as the line spells it
+            ("a b 1\nb a 2", ug.DuplicateEdgeError, "line 2: edge {'b','a'} given twice"),
+            # the loop is refused before its literal is read
+            ("a a x", ug.SelfLoopError, "line 1: edge {'a','a'} is a self-loop"),
+            ("a b -1/2\nb c -3", ug.NegativeWeightError, "weight -1/2 is negative"),
+            ("a b 1/2\nb c 2\nc d -0.5\nd a -1", ug.NegativeWeightError, "weight -1/2 is negative"),
+            ("\n#x\n", ug.ParseError, "no vertices declared"),
+        ],
+    )
+    def test_first_error_wins(self, text, error, message):
+        with pytest.raises(error) as info:
+            ug.parse_edge_list(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_line_numbers_are_attached(self):
+        for text, line in [("a b -1\nc d x", 2), ("a b 1\n\n# c\nb c", 4)]:
+            with pytest.raises(ug.ParseError) as info:
+                ug.parse_edge_list(text)
+            assert info.value.line == line
+
+    def test_negative_zero_is_zero(self):
+        g = ug.parse_edge_list("a b -0")
+        assert list(g.weighted_edges()) == [("a", "b", Fraction(0))]
+        assert g._levels == (0,)
+
+    def test_redeclared_vertices_keep_their_first_place(self):
+        g = ug.parse_edge_list("x y 1\nvertex z\nvertex x")
+        assert g.vertices == ("x", "y", "z")
+        assert g._index == {"x": 0, "y": 1, "z": 2}
+
+
+def counted_parse(text):
+    """parse_edge_list(text), counting Fraction comparisons and hashes."""
+    calls: Counter = Counter()
+
+    def counting(name):
+        real = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return mock.patch.object(Fraction, name, wrapper)
+
+    with counting("__lt__"), counting("__hash__"):
+        g = ug.parse_edge_list(text)
+    return g, calls
+
+
+class TestEdgeListReadCost:
+    """The reader orders the weights by exact integers, so while the lcm of
+    the denominators fits the scale width no Fraction is compared or hashed,
+    however many edges there are."""
+
+    def test_path_with_distinct_weights(self):
+        rng = random.Random(1)
+        ks = rng.sample(range(1, 400), 199)
+        text = "\n".join(f"v{i} v{i + 1} {k}/4" for i, k in enumerate(ks))
+        g, calls = counted_parse(text)
+        assert g.edge_count() == 199
+        assert g._levels == tuple(sorted(Fraction(k, 4) for k in ks))
+        assert calls == Counter()
+
+    def test_complete_four_partite_with_eight_levels(self):
+        rng = random.Random(2)
+        part = {f"v{i}": i % 4 for i in range(80)}
+        levels = [Fraction(k, 6) for k in range(1, 9)]
+        pairs = [(u, v) for u in part for v in part if part[u] < part[v]]
+        rng.shuffle(pairs)
+        text = "\n".join(f"{u} {v} {rng.choice(levels)}" for u, v in pairs)
+        g, calls = counted_parse(text)
+        assert g.edge_count() == 2400
+        assert g._levels == tuple(levels)
+        assert calls == Counter()
 
 
 class TestEdgeListRoundTrip:

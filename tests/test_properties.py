@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 
 import ultragraph as ug
-from ultragraph import AxiomClass, PartialOrderResult, Verdict, metrics, oracle
-from ultragraph.metrics import _as_array, _rescale, _scan_witness
+from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, oracle
+from ultragraph.graph import _rescale
+from ultragraph.metrics import _as_array, _scan_witness
 
 from corpus import (
     atlas_graphs,
@@ -287,7 +288,7 @@ def test_unique_extension_criterion_from_first_principles(g):
 
 
 def stand_ins(wide):
-    return mock.patch.object(metrics, "_SCALE_BITS", 0) if wide else nullcontext()
+    return mock.patch.object(graph, "_SCALE_BITS", 0) if wide else nullcontext()
 
 
 def reference_triangle_witness(rows, bound=add):
@@ -803,3 +804,111 @@ def test_graph_builders_match_the_per_cell_path(g):
         with stand_ins(wide):
             for m in (ug.subdominant_matrix(g), ug.shortest_path_matrix(g)):
                 assert_same(as_built(m), per_cell(list(g.vertices), m.entries))
+
+
+# The one-pass edge-list reader against build_graph on the same data, on
+# everything WeightedGraph.__eq__ leaves out: edge and neighbour order,
+# the index, and the weight levels. Names include the keyword "vertex"
+# and an inner "#"; every value has several spellings.
+
+NAMES = ["a", "b", "vertex", "x#y", "v10", "é", "Z"]
+SPELLINGS = {
+    Fraction(0): ["0", "-0", "0/7", "0.000"],
+    Fraction(1, 2): ["1/2", "0.5", "2/4", "5e-1"],
+    Fraction(1, 3): ["1/3", "2/6"],
+    Fraction(1): ["1", "1.0", "3/3", "01"],
+    # the same float as 1, so only an exact order tells the two apart
+    1 + Fraction(1, 2**60): [
+        "1.000000000000000000867361737988403547205962240695953369140625",
+        "1152921504606846977/1152921504606846976",
+    ],
+    Fraction(5, 4): ["5/4", "1.25", "10/8"],
+    Fraction(2): ["2", "2.00", "4/2"],
+}
+NOISE = ["", "   ", "# comment", "  # indented a b 1", "#x y 1"]
+
+
+@st.composite
+def edge_list_inputs(draw):
+    """(text, vertices by first appearance, edges in line order)."""
+    n = draw(st.integers(1, len(NAMES)))
+    names = draw(st.permutations(NAMES))[:n]
+    all_pairs = list(combinations(range(n), 2))
+    pairs = draw(st.sets(st.sampled_from(all_pairs))) if all_pairs else set()
+    lines = []
+    for i, j in sorted(pairs):
+        u, v = (names[i], names[j]) if draw(st.booleans()) else (names[j], names[i])
+        w = draw(st.sampled_from(sorted(SPELLINGS)))
+        lines.append((u, v, draw(st.sampled_from(SPELLINGS[w]))))
+    touched = {x for u, v, _ in lines for x in (u, v)}
+    declared = [v for v in names if v not in touched or draw(st.booleans())]
+    lines += [("vertex", v) for v in declared]
+    lines += draw(st.lists(st.sampled_from(NOISE), max_size=3))
+    lines = draw(st.permutations(lines))
+    order = {}
+    for line in lines:
+        if isinstance(line, tuple):  # ("vertex", name) or (u, v, weight)
+            for v in line[1:] if len(line) == 2 else line[:2]:
+                order.setdefault(v, len(order))
+    text = "\n".join(" ".join(x) if isinstance(x, tuple) else x for x in lines)
+    return text, list(order), [x for x in lines if isinstance(x, tuple) and len(x) == 3]
+
+
+def assert_same_graph(g, h):
+    assert g.vertices == h.vertices
+    assert g.edges == h.edges
+    assert tuple(g.weighted_edges()) == tuple(h.weighted_edges())
+    assert all(type(w) is Fraction for _, _, w in g.weighted_edges())
+    assert list(g._index.items()) == list(h._index.items())
+    assert [g.neighbors(v) for v in g.vertices] == [h.neighbors(v) for v in h.vertices]
+    assert g._levels == h._levels
+    assert g._level_edges == h._level_edges
+
+
+def reference_levels(g):
+    """Weight levels by sorting the Fractions themselves."""
+    levels = tuple(sorted({w for _, _, w in g.weighted_edges()}))
+    idx = g._index
+    return levels, tuple((idx[u], idx[v], levels.index(w)) for u, v, w in g.weighted_edges())
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_inputs(), st.booleans())
+def test_parse_edge_list_matches_build_graph(data, wide):
+    text, vertices, edges = data
+    with stand_ins(wide):
+        g = ug.parse_edge_list(text)
+        assert_same_graph(g, ug.build_graph(vertices, edges))
+        assert (g._levels, g._level_edges) == reference_levels(g)
+        for u in g.vertices:  # neighbours in canonical order
+            assert list(g.neighbors(u)) == sorted(g.neighbors(u), key=g._index.__getitem__)
+        assert_same_graph(ug.parse_edge_list(ug.emit_edge_list(g)), g)
+
+
+# strict_threshold_subgraph and well_chained_pairs read the levels; the
+# references are their per-edge Fraction forms.
+
+
+@settings(max_examples=200, deadline=None)
+@given(twice_max_graphs(), st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1, 2, 10]), st.booleans())
+def test_strict_threshold_subgraph_matches_per_edge_filter(g, bound, wide):
+    with stand_ins(wide):
+        want = ug.build_graph(g.vertices, [(u, v, w) for u, v, w in g.weighted_edges() if w < bound])
+        assert_same_graph(ug.strict_threshold_subgraph(g, bound), want)
+
+
+def reference_well_chained_pairs(g):
+    zero = ug.build_graph(g.vertices, [(u, v, w) for u, v, w in g.weighted_edges() if w == 0])
+    return frozenset(
+        (b[i], b[j])
+        for b in ug.connected_components(zero).blocks
+        for i in range(len(b))
+        for j in range(i + 1, len(b))
+        if not g.has_edge(b[i], b[j])
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(twice_max_graphs())
+def test_well_chained_pairs_matches_zero_subgraph_components(g):
+    assert ug.well_chained_pairs(g) == reference_well_chained_pairs(g)
