@@ -38,6 +38,7 @@ from .graph import (
     Cycle,
     Vertex,
     WeightedGraph,
+    _ranked,
     build_graph,
     connected_components,
     strict_threshold_subgraph,
@@ -279,12 +280,10 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
         raise NotExtendableError(report.witness)
 
     _, values = _twice_max_analysis(g)  # twice-max pairs stay at 0
-    # Ranks into the weight levels, with 0 in front unless it is a weight.
-    shift = int(g._levels[0] != 0)
-    table = (Fraction(0),) * shift + g._levels
+    table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
     ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
     for i, j, k in [*g._level_edges, *((p, q, k) for (p, q), k in values.items())]:
-        ranks[i, j] = ranks[j, i] = k + shift
+        ranks[i, j] = ranks[j, i] = rank[k + 1]
     m = _from_values(g.vertices, table, ranks)
     if not m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC):
         raise NotPseudoultrametricError(

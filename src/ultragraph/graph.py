@@ -6,11 +6,11 @@ canonicalization and all deterministic output. Weights are
 :class:`fractions.Fraction` values; equality and ordering of weights are
 exact, which the extension criteria depend on.
 Every verdict but the min-sum distance reads the weights only through
-their order. ``build_graph`` and ``io.parse_edge_list`` check each edge
-as an index pair in one pass and share one assembler, which decides that
-order once: a graph carries its sorted distinct weights, ``_levels``, and
-its edges in canonical order as ``(i, j, level)``, ``_level_edges``, for
-downstream code to sort and group as integers.
+their order, which ``_ranked`` alone decides, for matrices too. Both
+``build_graph`` and ``io.parse_edge_list`` check each edge as an index
+pair in one pass and share one assembler: a graph carries its sorted
+distinct weights, ``_levels``, and its edges in canonical order as
+``(i, j, level)``, ``_level_edges``, for downstream code to sort and group.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ def _rescale(values: Sequence[Weight]) -> tuple[list, int | None]:
         if scale.bit_length() > _SCALE_BITS:
             return list(values), None
     return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _ranked(values: Sequence[Weight]) -> tuple[tuple[Weight, ...], list[int]]:
+    """The distinct ``values``, increasing, and the rank of each value: the
+    one place exact values are ordered, by the stand-ins of ``_rescale``."""
+    stand = _rescale(values)[0]
+    value = dict(zip(stand, values))  # one value per distinct stand-in
+    rank = {s: k for k, s in enumerate(sorted(value))}
+    return tuple(map(value.__getitem__, rank)), list(map(rank.__getitem__, stand))
 
 
 def to_weight(value) -> Weight:
@@ -189,15 +198,11 @@ def _assemble(verts: tuple[Vertex, ...], index: dict, weights: dict) -> Weighted
     for i, j in pairs:  # all lower neighbours come before all higher ones
         adj[i].append(verts[j])
         adj[j].append(verts[i])
-    # The order of the weights, once, by exact stand-ins. Equal weights read
-    # from one literal are one object, so each object is rescaled once.
-    objs = dict(zip(map(id, ws), ws))
-    stand = dict(zip(objs, _rescale(list(objs.values()))[0]))
-    value = dict(zip(stand.values(), objs.values()))
-    level = {s: k for k, s in enumerate(sorted(value))}
-    edges = tuple((i, j, level[stand[id(w)]]) for (i, j), w in zip(pairs, ws))
+    objs = dict(zip(map(id, ws), ws))  # equal weights from one literal: one object
+    levels, ranks = _ranked(list(objs.values()))
+    level = dict(zip(objs, ranks))
+    edges = tuple((i, j, level[id(w)]) for (i, j), w in zip(pairs, ws))
     named = dict(zip([(verts[i], verts[j]) for i, j in pairs], ws))
-    levels = tuple(map(value.__getitem__, level))
     return WeightedGraph(verts, named, index, dict(zip(verts, map(tuple, adj))), levels, edges)
 
 
@@ -242,15 +247,10 @@ def strict_threshold_subgraph(g: WeightedGraph, bound) -> WeightedGraph:
 
 def induced_subgraph(g: WeightedGraph, subset: Iterable[Vertex]) -> WeightedGraph:
     """Induced subgraph on ``subset``, vertices in the host graph's order."""
-    chosen = set(subset)
-    for v in chosen:
-        g.vertex_index(v)
+    chosen = dict.fromkeys(subset)  # in the caller's order, for the error
+    [g.vertex_index(v) for v in chosen]
     verts = tuple(v for v in g.vertices if v in chosen)
-    kept = [
-        (u, v, w)
-        for u, v, w in g.weighted_edges()
-        if u in chosen and v in chosen
-    ]
+    kept = [(u, v, w) for u, v, w in g.weighted_edges() if u in chosen and v in chosen]
     return build_graph(verts, kept)
 
 

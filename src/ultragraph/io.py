@@ -4,7 +4,7 @@ All serialization is exact. Weights print as the shortest terminating
 decimal when one exists, else as ``p/q``; parsing either form recovers
 the value bit-for-bit, so emit-parse round trips are identities, and
 each distinct literal or matrix value is parsed or formatted once. An
-edge list is read in one pass straight into the graph's index form.
+edge list is read in one pass into index form; ``graph._ranked`` orders values.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -26,7 +26,7 @@ from .errors import (
     SelfLoopError,
 )
 from .graph import Vertex, Weight, WeightedGraph, _assemble, to_weight
-from .metrics import Dendrogram, DistanceMatrix, _from_codes, _interner
+from .metrics import Dendrogram, DistanceMatrix, _from_cells
 
 
 # Longest literal, and largest exponent magnitude, accepted: both bound
@@ -224,23 +224,23 @@ def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
             and all(isinstance(r, list) for r in rows)
         ):
             raise ParseError("bad matrix json: wrong field types")
-        code, values = _interner(_json_weight)
-        return _from_codes(vertices, [[code(x) for x in r] for r in rows], values)
+        return _from_cells(vertices, rows, _json_weight)
     if format == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or not lines[0].startswith(","):
             raise ParseError("bad matrix csv: missing header")
         vertices = lines[0].split(",")[1:]
-        code, values = _interner(parse_weight)
-        rows = []
         if len(lines) != len(vertices) + 1:
             raise ParseError("bad matrix csv: row count mismatch")
+        rows = []
         for name, ln in zip(vertices, lines[1:]):
             cells = ln.split(",")
             if len(cells) != len(vertices) + 1 or cells[0] != name:
+                # a bad cell in an earlier row comes first
+                [parse_weight(x) for x in dict.fromkeys(x for r in rows for x in r)]
                 raise ParseError(f"bad matrix csv row for {name!r}")
-            rows.append([code(x) for x in cells[1:]])
-        return _from_codes(vertices, rows, values)
+            rows.append(cells[1:])
+        return _from_cells(vertices, rows, parse_weight)
     raise ParseError(f"unknown matrix format {format!r}")
 
 

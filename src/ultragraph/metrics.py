@@ -10,7 +10,9 @@ Every matrix records the strongest axiom class its entries actually
 satisfy; the class is verified at construction, never assumed. A matrix
 holds its sorted distinct values and each entry's int32 rank among them,
 so each distinct value is converted, rescaled and formatted once; a
-graph brings its weights as integer levels (see ``graph``). One table,
+graph brings its weights as integer levels (see ``graph``). Raw cells
+take one path, ``_from_cells``, and ``graph._ranked`` orders the values
+of every builder but the min-sum one, which ranks its sums. One table,
 ``_CHECKS``, lists each class's checks: ``validate`` walks them in scan
 order, ``_classify`` takes the strongest class that passes them, and all
 but the plain triangle read the ranks alone. The min-sum layer runs on
@@ -47,6 +49,7 @@ from .graph import (
     Vertex,
     Weight,
     WeightedGraph,
+    _ranked,
     _rescale,
     build_graph,
     connected_components,
@@ -223,35 +226,26 @@ def _check_vertices(verts: tuple[Vertex, ...]) -> None:
         raise VertexMismatchError("vertex names must be nonempty and distinct")
 
 
-def _interner(convert):
-    """``(code, values)``: ``code`` numbers the distinct cells from 0, keyed
-    by type and value, and ``values[code(cell)]`` is ``convert(cell)``, run
-    once per distinct cell; an unhashable cell goes to ``convert`` to be refused."""
-    codes: dict = {}
-    values: list[Weight] = []
-
-    def code(cell) -> int:
-        key = (type(cell), cell)  # a float is no int, however equal
-        try:
-            return codes[key]
-        except (KeyError, TypeError):
-            values.append(convert(cell))
-            return codes.setdefault(key, len(codes))
-
-    return code, values
-
-
-def _from_codes(vertices: Sequence[Vertex], codes: list[list[int]], values: list[Weight]):
-    """Matrix over ``vertices`` whose cells hold ``_interner`` codes into
-    ``values``; checks the names and the square shape."""
+def _from_cells(vertices: Sequence[Vertex], rows, convert):
+    """Matrix over ``vertices`` from raw cells: ``convert`` runs once per
+    distinct cell, by first appearance, before the names and the shape are
+    checked. A string keys itself, any other cell with its type (1.0 is no 1)."""
+    cells = [cell for row in rows for cell in row]
+    keys = [cell if type(cell) is str else (type(cell), cell) for cell in cells]
+    first: dict = {}  # where each key first appears
+    try:  # each key hashed once: Fraction.__hash__ is Python code
+        at = list(map(first.setdefault, keys, range(len(keys))))
+    except TypeError:  # an unhashable cell, refused in row-major order
+        [convert(cell) for cell in cells]
+        raise
+    converted = [convert(cells[i]) for i in first.values()]
     _check_vertices(vertices)
     n = len(vertices)
-    if len(codes) != n or any(len(r) != n for r in codes):
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise VertexMismatchError(f"entries must form a {n}x{n} square")
-    distinct = sorted(set(values))  # two spellings may give one value
-    rank = {w: k for k, w in enumerate(distinct)}
-    recode = np.array([rank[w] for w in values], dtype=np.int32)
-    return _from_values(vertices, distinct, recode[np.array(codes)])
+    values, ranks = _ranked(converted)  # two spellings may give one value
+    codes = np.fromiter(map(dict(zip(first.values(), ranks)).__getitem__, at), np.int32, n * n)
+    return _from_values(vertices, values, codes.reshape(n, n))
 
 
 def distance_matrix(vertices: Sequence[Vertex], entries) -> DistanceMatrix:
@@ -263,8 +257,7 @@ def distance_matrix(vertices: Sequence[Vertex], entries) -> DistanceMatrix:
     """
     verts = tuple(vertices)
     _check_vertices(verts)  # before any entry, so that its error comes first
-    code, values = _interner(to_weight)
-    return _from_codes(verts, [[code(x) for x in row] for row in entries], values)
+    return _from_cells(verts, [list(row) for row in entries], to_weight)
 
 
 def validate(m: DistanceMatrix, target: AxiomClass) -> Verdict:
@@ -421,15 +414,14 @@ def quotient(m: DistanceMatrix) -> tuple[Partition, DistanceMatrix]:
         raise NotPseudoultrametricError(
             f"matrix class is {m.axiom_class.value}, need pseudoultrametric"
         )
-    # Zero distance is an equivalence here, so the first zero in each row
-    # sits at the first member of that vertex's class.
+    # Zero distance is an equivalence here, so the first zero (rank 0) in
+    # each row sits at the first member of that vertex's class.
     blocks: dict[int, list[Vertex]] = {}
-    for v, row in zip(m.vertices, m.entries):
-        blocks.setdefault(row.index(0), []).append(v)
-    reps = list(blocks)
-    rows = [[m.entries[a][b] for b in reps] for a in reps]
-    names = [m.vertices[r] for r in reps]
-    return Partition(tuple(map(tuple, blocks.values()))), distance_matrix(names, rows)
+    for v, first in zip(m.vertices, (m._ranks == 0).argmax(axis=1).tolist()):
+        blocks.setdefault(first, []).append(v)
+    reps = list(blocks)  # every value lies between two classes: the ranks stay dense
+    q = _from_values([m.vertices[r] for r in reps], m._values, m._ranks[np.ix_(reps, reps)])
+    return Partition(tuple(map(tuple, blocks.values()))), q
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -570,19 +562,27 @@ def matrix_from_dendrogram(
     verts = tuple(vertices) if vertices is not None else tuple(leaf_order)
     if sorted(verts) != sorted(leaf_order):
         raise VertexMismatchError("vertex list must be a permutation of leaves")
+    _check_vertices(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-
-    for node in d._preorder():
-        groups = [ch.leaves() for ch in node.children]
-        dist = 2 * node.height
-        for gi, gj in combinations(groups, 2):
-            for a in gi:
-                for b in gj:
-                    rows[idx[a]][idx[b]] = dist
-                    rows[idx[b]][idx[a]] = dist
-    return distance_matrix(verts, rows)
+    nodes = list(d._preorder())
+    # Each pair gets the code of its lowest common ancestor, its place in
+    # preorder, written there once; the diagonal gets the code after them.
+    codes = np.full((len(verts),) * 2, len(nodes), dtype=np.int32)
+    below: dict[int, list[int]] = {}  # leaf indices under each finished node
+    for code in reversed(range(len(nodes))):  # children before parents
+        kids = [below.pop(id(ch)) for ch in nodes[code].children]
+        run = [] if kids else [idx[nodes[code].label]]
+        for kid in kids:
+            codes[np.ix_(kid, run)] = codes[np.ix_(run, kid)] = code
+            run += kid
+        below[id(nodes[code])] = run
+    # Each used distance converted once, in row-major order: the first bad one errs.
+    dist = [2 * node.height for node in nodes] + [Fraction(0)]
+    used = list(dict.fromkeys(codes.ravel().tolist()))
+    values, ranks = _ranked([to_weight(dist[c]) for c in used])
+    recode = np.zeros(len(dist), dtype=np.int32)
+    recode[used] = ranks
+    return _from_values(verts, values, recode[codes])
 
 
 INFINITE_EXPONENT = math.inf

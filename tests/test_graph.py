@@ -1,5 +1,8 @@
 """Graph construction, validation and basic traversal."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,6 +167,24 @@ class TestInducedSubgraph:
     def test_unknown_vertex(self):
         with pytest.raises(ug.UnknownVertexError):
             ug.induced_subgraph(triangle(), ["a", "zz"])
+
+    @pytest.mark.parametrize("seed", ["2", "4"])
+    def test_first_unknown_vertex_in_the_callers_order(self, seed):
+        # Set order follows the string hashes; the caller's order does not.
+        code = (
+            "import ultragraph as ug\n"
+            "g = ug.build_graph(['a', 'b'], [('a', 'b', 1)])\n"
+            "try:\n"
+            "    ug.induced_subgraph(g, ['x', 'y', 'zz', 'w'])\n"
+            "except ug.UnknownVertexError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(ug.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "unknown vertex 'x'\n"
 
 
 class TestPath:

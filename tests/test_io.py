@@ -351,6 +351,7 @@ class TestMatrixSerialization:
             ('[["0","1"],["1",true]]', "bad matrix json: cell true is neither a weight string nor an integer"),
             ("[[0,1],[true,0]]", "bad matrix json: cell true is neither a weight string nor an integer"),
             ("[[0,1],[1.0,0]]", "bad matrix json: cell 1.0 is neither a weight string nor an integer"),
+            ("[[0,1.0],[1,0]]", "bad matrix json: cell 1.0 is neither a weight string nor an integer"),
             ('[["0","1"],["1","x"]]', "bad weight literal 'x'"),
             ('[["1/2","0.5"],["2/4",[0]]]', "bad matrix json: cell [0] is neither a weight string nor an integer"),
             ('[["0",1],[1,"-1"]]', "weight -1 is negative"),
@@ -368,6 +369,39 @@ class TestMatrixSerialization:
             ug.parse_matrix(",a,b\na,0,1\nb,1,1/0", "csv")
         with pytest.raises(ug.VertexMismatchError, match="^entries must form a 2x2 square$"):
             ug.parse_matrix('{"vertices":["a","b"],"matrix":[["0","1"],["1"]]}')
+
+    # Which error a matrix with several faults reports: a bad cell before
+    # bad names, a ragged row or a malformed later csv row; a csv row count
+    # or a non-list json cell in row-major order before anything after it.
+    @pytest.mark.parametrize(
+        "fmt, text, error, message",
+        [
+            ("csv", ",a,b\na,0,-1\nb", ug.NegativeWeightError, "weight -1 is negative"),
+            ("csv", ",a,b\na,0,x\nc,1,0", ug.ParseError, "bad weight literal 'x'"),
+            ("csv", ",a,b\na,0,x", ug.ParseError, "bad matrix csv: row count mismatch"),
+            ("csv", ",a,a\na,0,1\na,y,0", ug.ParseError, "bad weight literal 'y'"),
+            ("csv", ",a,b\nb,0,x\na,1,0", ug.ParseError, "bad matrix csv row for 'a'"),
+            ("json", '{"vertices":["a","a"],"matrix":[["0","x"],["1","0"]]}',
+             ug.ParseError, "bad weight literal 'x'"),
+            ("json", '{"vertices":["a","b"],"matrix":[["0","x"],["1"]]}',
+             ug.ParseError, "bad weight literal 'x'"),
+            ("json", '{"vertices":["a","b"],"matrix":[["0",[1]],["x"]]}',
+             ug.ParseError, "bad matrix json: cell [1] is neither a weight string nor an integer"),
+            ("json", '{"vertices":["a","b"],"matrix":[["0","x"],[[1],"0"]]}',
+             ug.ParseError, "bad weight literal 'x'"),
+            ("json", '{"vertices":[],"matrix":[["-1"]]}',
+             ug.NegativeWeightError, "weight -1 is negative"),
+            ("json", '{"vertices":["a","a"],"matrix":[["0",1],[1]]}',
+             ug.VertexMismatchError, "vertex names must be nonempty and distinct"),
+            ("json", '{"vertices":["a","b"],"matrix":[["0",1],[1,0],[0,0]]}',
+             ug.VertexMismatchError, "entries must form a 2x2 square"),
+        ],
+    )
+    def test_error_precedence(self, fmt, text, error, message):
+        with pytest.raises(ug.UltragraphError) as info:
+            ug.parse_matrix(text, fmt)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_comma_in_vertex_name_rejected_for_csv(self):
         m = ug.distance_matrix(["a,b", "c"], [[0, 1], [1, 0]])

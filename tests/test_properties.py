@@ -4,7 +4,7 @@ brute-force oracles and against each other."""
 import json
 import random
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import combinations, groupby
 from operator import add
@@ -647,6 +647,7 @@ def test_least_extension_matches_the_per_cell_path(g):
     except (ug.NotCompleteMultipartiteError, ug.NotExtendableError):
         return
     want = reference_least_extension(g)
+    assert_dense(got)
     assert got.entries == want.entries
     assert got.axiom_class is want.axiom_class
     assert got.rank_array().dtype == want.rank_array().dtype == np.int32
@@ -769,7 +770,17 @@ def per_cell(names, cells):
             json.dumps(doc, separators=(",", ":")), "\n".join(csv))
 
 
+def assert_dense(m):
+    """The invariant every builder keeps: ``_values`` strictly increasing,
+    every rank used, ``_ranks`` int32 and read-only."""
+    values, ranks = m._values, m.rank_array()
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert np.array_equal(np.unique(ranks), np.arange(len(values)))
+    assert ranks.dtype == np.int32 and not ranks.flags.writeable
+
+
 def as_built(m):
+    assert_dense(m)
     return (m.entries, m.axiom_class, m.rank_array(),
             ug.emit_matrix(m, "json"), ug.emit_matrix(m, "csv"))
 
@@ -912,3 +923,163 @@ def reference_well_chained_pairs(g):
 @given(twice_max_graphs())
 def test_well_chained_pairs_matches_zero_subgraph_components(g):
     assert ug.well_chained_pairs(g) == reference_well_chained_pairs(g)
+
+
+# quotient and matrix_from_dendrogram build from ranks; the references are
+# their per-cell forms, which rebuilt Fraction rows for distance_matrix.
+
+
+def reference_quotient(m):
+    blocks = {}
+    for v, row in zip(m.vertices, m.entries):
+        blocks.setdefault(row.index(0), []).append(v)
+    reps = list(blocks)
+    rows = [[m.entries[a][b] for b in reps] for a in reps]
+    names = [m.vertices[r] for r in reps]
+    return ug.Partition(tuple(map(tuple, blocks.values()))), ug.distance_matrix(names, rows)
+
+
+def reference_matrix_from_dendrogram(d, vertices=None):
+    leaf_order = d.leaves()
+    verts = tuple(vertices) if vertices is not None else tuple(leaf_order)
+    if sorted(verts) != sorted(leaf_order):
+        raise ug.VertexMismatchError("vertex list must be a permutation of leaves")
+    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for node in d._preorder():
+        groups = [ch.leaves() for ch in node.children]
+        dist = 2 * node.height
+        for gi, gj in combinations(groups, 2):
+            for a in gi:
+                for b in gj:
+                    rows[idx[a]][idx[b]] = dist
+                    rows[idx[b]][idx[a]] = dist
+    return ug.distance_matrix(verts, rows)
+
+
+def same_matrix(got, want):
+    assert_dense(got)
+    assert got.vertices == want.vertices
+    assert got.entries == want.entries
+    assert got.axiom_class is want.axiom_class
+    assert got.rank_array().dtype == want.rank_array().dtype == np.int32
+    assert np.array_equal(got.rank_array(), want.rank_array())
+    assert got._values == want._values
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ug.UltragraphError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def pseudoultrametrics(draw):
+    """A random ultrametric on k classes, each class blown up to one to
+    three vertices at distance zero, in shuffled vertex order."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    u = random_ultrametric(rng, [f"c{i}" for i in range(rng.randint(1, 5))])
+    members = [c for c in range(len(u)) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(members)
+    rows = [[u.entries[a][b] for b in members] for a in members]
+    return ug.distance_matrix([f"v{i}" for i in range(len(members))], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pseudoultrametrics(), st.booleans())
+def test_quotient_matches_the_per_cell_path(m, wide):
+    with stand_ins(wide):
+        m = ug.distance_matrix(m.vertices, m.entries)
+        parts, got = ug.quotient(m)
+        want_parts, want = reference_quotient(m)
+    assert parts == want_parts
+    same_matrix(got, want)
+
+
+LEAF_LABELS = [f"v{i}" for i in range(8)]
+GOOD_HEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), 2, Fraction(5, 7)]
+BAD_HEIGHTS = [0.5, 1.0, -1, Fraction(-1, 2)]
+
+
+@st.composite
+def dendrograms(draw):
+    """(tree, vertex order or None): random multiway merges with random,
+    not necessarily monotone heights, some one-child nodes, and with
+    ``bad`` several float or negative heights."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    bad = draw(st.booleans())
+    n = rng.randint(1, 8)
+    nodes = [ug.Dendrogram(Fraction(0), (), v) for v in LEAF_LABELS[:n]]
+
+    def height():
+        return rng.choice(BAD_HEIGHTS if bad and rng.random() < 0.3 else GOOD_HEIGHTS)
+
+    while len(nodes) > 1:
+        picked = set(rng.sample(range(len(nodes)), rng.randint(2, min(3, len(nodes)))))
+        kids = tuple(x for i, x in enumerate(nodes) if i in picked)
+        nodes = [x for i, x in enumerate(nodes) if i not in picked]
+        nodes.append(ug.Dendrogram(height(), kids))
+        if rng.random() < 0.25:
+            nodes[-1] = ug.Dendrogram(height(), (nodes[-1],))
+    order = rng.sample(LEAF_LABELS[:n], n) if draw(st.booleans()) else None
+    return nodes[0], order
+
+
+@settings(max_examples=300, deadline=None)
+@given(dendrograms(), st.booleans())
+def test_matrix_from_dendrogram_matches_the_per_cell_path(tree, wide):
+    d, order = tree
+    with stand_ins(wide):
+        got = outcome(ug.matrix_from_dendrogram, d, order)
+        want = outcome(reference_matrix_from_dendrogram, d, order)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        same_matrix(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_graphs())
+def test_every_builder_keeps_the_ranks_dense(g):
+    m = ug.subdominant_matrix(g)
+    built = [m, ug.shortest_path_matrix(g), ug.quotient(m)[1]]
+    built.append(ug.distance_matrix(g.vertices, m.entries))
+    built += [ug.parse_matrix(ug.emit_matrix(m, fmt), fmt) for fmt in ("json", "csv")]
+    built.append(ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g)))
+    if ug.is_pseudoultrametrizable(g).pseudoultrametrizable:
+        built.append(ug.greatest_extension(g))
+    for x in built:
+        assert_dense(x)
+
+
+@contextmanager
+def counted(name):
+    """Count the calls of the Fraction method ``name``."""
+    calls = []
+    method = getattr(Fraction, name)
+
+    def counting(*args):
+        calls.append(None)
+        return method(*args)
+
+    with mock.patch.object(Fraction, name, counting):
+        yield calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_parse_matrix_neither_hashes_nor_sorts_fractions(fmt):
+    # A chain: a path on 200 vertices with distinct weights k/4, so its
+    # subdominant matrix holds 200 distinct values over 40,000 cells.
+    ks = random.Random(0).sample(range(1, 1600), 199)
+    names = [f"v{i}" for i in range(200)]
+    g = ug.build_graph(names, [(names[i], names[i + 1], Fraction(k, 4)) for i, k in enumerate(ks)])
+    m = ug.subdominant_matrix(g)
+    text = ug.emit_matrix(m, fmt)
+    with counted("__hash__") as hashes, counted("__lt__") as less:
+        back = ug.parse_matrix(text, fmt)
+    assert back == m
+    assert len(hashes) == 0
+    assert len(less) <= len(m._values)  # the negativity check, once per distinct cell
