@@ -20,8 +20,10 @@ exact integers: the values (or edge weights) times the lcm of their
 denominators, which preserves every comparison and every sum; only when
 coprime denominators make that lcm wider than ``graph._SCALE_BITS`` do the
 Fractions stand for themselves. Dijkstra, the plain-triangle check,
-``compare`` and the betweenness exponent's ties use them. Both triangle
-checks are vectorized per middle vertex, and the verdicts stay exact.
+``compare`` and the betweenness exponent's ties use them. The plain
+triangle is scanned per middle vertex, vectorized; the strong triangle is
+certified in O(n²) by a Prim tree on the ranks and scanned only for
+``validate``'s witness. The verdicts stay exact.
 """
 
 from __future__ import annotations
@@ -168,6 +170,33 @@ def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | N
     return None
 
 
+def _strong_triangle_holds(ranks: np.ndarray) -> bool:
+    """Whether ``ranks`` satisfy the strong triangle, in O(n²); they must be
+    symmetric with a zero diagonal, as the asymmetry and nonzero-diagonal
+    checks before it in ``_CHECKS`` order ensure.
+
+    Prim from vertex 0 joins each vertex k to its nearest placed vertex
+    p(k). The ranks hold iff d(k, j) = max(d(k, p(k)), d(p(k), j)) for every
+    j placed before k: the right side fills in the tree's path maximum, an
+    ultrametric, and an ultrametric equals its own minimax distance, which
+    every minimum spanning tree realises."""
+    n = len(ranks)
+    if not n:  # argmin needs a row
+        return True
+    top = np.int64(np.iinfo(np.int64).max)  # above every rank; as a NumPy scalar, never cast down
+    rows = ranks.astype(np.int64)  # a placed vertex's column turns to top
+    place = np.zeros(n, dtype=np.intp)  # position in Prim order
+    link = np.full(n, top - 1)  # rank to the nearest placed vertex; top once placed
+    for t in range(n):
+        k = int(link.argmin())
+        place[k], link[k], rows[:, k] = t, top, top
+        np.minimum(link, rows[k], out=link)
+    earlier = place < place[:, None]  # at [k, j]: j placed before k
+    parent = np.where(earlier, ranks, top).argmin(axis=1)  # the nearest such j
+    bound = np.maximum(ranks[parent], ranks[np.arange(n), parent][:, None])
+    return not ((ranks != bound) & earlier).any()
+
+
 def _witness(kind: str, ranks: np.ndarray, values: Sequence[Weight]) -> tuple[int, ...] | None:
     """First witness against one check in scan order, else None, for the
     entries ``values[ranks]`` (as ``_from_values`` takes them)."""
@@ -175,8 +204,8 @@ def _witness(kind: str, ranks: np.ndarray, values: Sequence[Weight]) -> tuple[in
         return _first(np.triu(ranks != ranks.T))
     if kind == "nonzero-diagonal":  # rank 0 is the value 0 if any entry is
         return _first(np.diagonal(ranks) != 0) if values[0] == 0 else (0,)
-    if kind == "strong-triangle":
-        return _scan_witness(ranks, np.maximum)
+    if kind == "strong-triangle":  # scanned only for a witness
+        return None if _strong_triangle_holds(ranks) else _scan_witness(ranks, np.maximum)
     if kind == "triangle":
         return _scan_witness(_as_array(*_rescale(values))[ranks], np.add)
     # zero-off-diagonal, checked once the diagonal is zero
@@ -202,8 +231,9 @@ def _classify(ranks: np.ndarray, values: Sequence[Weight]) -> AxiomClass:
     passed: dict[str, bool] = {}
 
     def passes(kind: str) -> bool:
-        if kind not in passed:
-            passed[kind] = _witness(kind, ranks, values) is None
+        if kind not in passed:  # no witness wanted: the certificate decides the strong triangle
+            passed[kind] = (_strong_triangle_holds(ranks) if kind == "strong-triangle"
+                            else _witness(kind, ranks, values) is None)
         return passed[kind]
 
     strongest = (c for c in reversed(_CHECKS) if all(map(passes, _BASE_CHECKS + _CHECKS[c])))
@@ -301,10 +331,11 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
 
     for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
         batch = list(batch)
-        closers = [e for e in batch if find(e[0]) == find(e[1])]
+        roots = [(find(i), find(j)) for i, j, _ in batch]
+        closers = [e for e, (ra, rb) in zip(batch, roots) if ra == rb]
         merges = []
-        for i, j, _ in batch:
-            ra, rb = find(i), find(j)
+        for ra, rb in roots:
+            ra, rb = find(ra), find(rb)  # short walks: they were roots as the level started
             if ra == rb:
                 continue
             if len(members[ra]) < len(members[rb]):

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 
 import ultragraph as ug
-from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, oracle
+from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, metrics, oracle
 from ultragraph.graph import _rescale
-from ultragraph.metrics import _as_array, _scan_witness
+from ultragraph.metrics import _as_array, _scan_witness, _strong_triangle_holds
 
 from corpus import (
     atlas_graphs,
@@ -1055,6 +1055,14 @@ def test_every_builder_keeps_the_ranks_dense(g):
         assert_dense(x)
 
 
+def chain(n, ks=None):
+    """A path on ``n`` vertices with distinct weights k/4: drawn with a fixed
+    seed, or the given ``ks`` in path order."""
+    ks = ks or random.Random(0).sample(range(1, 8 * n), n - 1)
+    names = [f"v{i}" for i in range(n)]
+    return ug.build_graph(names, [(names[i], names[i + 1], Fraction(k, 4)) for i, k in enumerate(ks)])
+
+
 @contextmanager
 def counted(name):
     """Count the calls of the Fraction method ``name``."""
@@ -1071,15 +1079,120 @@ def counted(name):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_parse_matrix_neither_hashes_nor_sorts_fractions(fmt):
-    # A chain: a path on 200 vertices with distinct weights k/4, so its
-    # subdominant matrix holds 200 distinct values over 40,000 cells.
-    ks = random.Random(0).sample(range(1, 1600), 199)
-    names = [f"v{i}" for i in range(200)]
-    g = ug.build_graph(names, [(names[i], names[i + 1], Fraction(k, 4)) for i, k in enumerate(ks)])
-    m = ug.subdominant_matrix(g)
+    # 200 distinct values over 40,000 cells
+    m = ug.subdominant_matrix(chain(200))
     text = ug.emit_matrix(m, fmt)
     with counted("__hash__") as hashes, counted("__lt__") as less:
         back = ug.parse_matrix(text, fmt)
     assert back == m
     assert len(hashes) == 0
     assert len(less) <= len(m._values)  # the negativity check, once per distinct cell
+
+
+# The strong triangle is decided by a Prim certificate in O(n²); the cubic
+# scan runs only to find validate's witness.
+
+
+@st.composite
+def strong_triangle_cases(draw, min_n=0):
+    """Symmetric zero-diagonal integer rows on up to 7 vertices: a planted
+    ultrametric (random merges at nondecreasing heights from 0, so early
+    merges make zero classes), the same with one pair moved up or down,
+    or heavy ties over {0, 1, 2}."""
+    n = draw(st.integers(min_n, 7))
+    rows = [[0] * n for _ in range(n)]
+    kind = draw(st.sampled_from(["planted", "perturbed", "ties"]))
+    if kind == "ties":
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
+        return rows
+    clusters, height = [[v] for v in range(n)], 0
+    while len(clusters) > 1:
+        a, b = draw(st.permutations(range(len(clusters))))[:2]
+        height += draw(st.integers(0, 2))
+        for u in clusters[a]:
+            for v in clusters[b]:
+                rows[u][v] = rows[v][u] = height
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+    if kind == "perturbed" and n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i][j] = rows[j][i] = max(0, rows[i][j] + draw(st.sampled_from([-1, 1])))
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(strong_triangle_cases())
+def test_strong_triangle_certificate_matches_the_reference(rows):
+    ranks = np.array(rows, dtype=np.int32).reshape(len(rows), len(rows))
+    assert _strong_triangle_holds(ranks) == (reference_triangle_witness(rows, max) is None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(strong_triangle_cases(min_n=1), st.sampled_from(["none", "asymmetry", "diagonal"]), st.data())
+def test_validate_strong_triangle_matches_the_reference(rows, fault, data):
+    n = len(rows)
+    if fault == "asymmetry" and n >= 2:
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        rows[i][j] += 1
+    if fault == "diagonal":
+        rows[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += 1
+    names = [f"v{i}" for i in range(n)]
+    m = ug.distance_matrix(names, rows)
+    for target in (AxiomClass.PSEUDOULTRAMETRIC, AxiomClass.ULTRAMETRIC):
+        assert ug.validate(m, target) == reference_validate(rows, names, target)
+    assert m.axiom_class is reference_class(rows)
+
+
+@contextmanager
+def strong_scans():
+    """Record each ``_scan_witness`` call that looks for a strong-triangle witness."""
+    calls = []
+    scan = metrics._scan_witness
+
+    def recording(d, bound_of):
+        result = scan(d, bound_of)
+        if bound_of is np.maximum:
+            calls.append(result)
+        return result
+
+    with mock.patch.object(metrics, "_scan_witness", recording):
+        yield calls
+
+
+def test_builders_decide_the_strong_triangle_without_the_scan():
+    g = chain(200)
+    with strong_scans() as scans:
+        m = ug.subdominant_matrix(g)
+        back = ug.parse_matrix(ug.emit_matrix(m, "json"))
+        least = ug.least_extension(random_multipartite(random.Random(3), 3, 4, 4))
+        tree = ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g), m.vertices)
+        assert ug.validate(m, AxiomClass.ULTRAMETRIC)
+    assert scans == []
+    assert m.axiom_class is back.axiom_class is tree.axiom_class is AxiomClass.ULTRAMETRIC
+    assert least.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC)
+    assert back == tree == m
+
+
+def test_validate_scans_for_the_witness_once_the_certificate_fails():
+    m = ug.subdominant_matrix(chain(40))
+    rows = [list(row) for row in m.entries]
+    rows[3][30] = rows[30][3] = rows[3][30] + 1  # above the path's bottleneck
+    with strong_scans() as scans:
+        bad = ug.distance_matrix(m.vertices, rows)
+        assert scans == []  # classifying needs no witness
+        verdict = ug.validate(bad, AxiomClass.PSEUDOULTRAMETRIC)
+    assert bad.axiom_class is not AxiomClass.PSEUDOULTRAMETRIC
+    w = reference_triangle_witness(rows, max)
+    assert scans == [w] and w is not None
+    assert verdict == Verdict(False, "strong-triangle", tuple(m.vertices[k] for k in w))
+
+
+def test_a_caterpillar_round_trips_to_the_subdominant_matrix():
+    # Weights increasing along a path of 1,000 vertices: each merge adds
+    # one leaf, so the merge tree is a caterpillar 999 nodes deep.
+    g = chain(1000, ks=range(1, 1000))
+    m = ug.subdominant_matrix(g)
+    back = ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g), m.vertices)
+    assert back == m
+    assert back.axiom_class is AxiomClass.ULTRAMETRIC
