@@ -48,7 +48,6 @@ from .metrics import (
     AxiomClass,
     DistanceMatrix,
     _from_values,
-    _graph_levels,
     _merge_levels,
     _require_connected,
     subdominant_matrix,
@@ -102,7 +101,7 @@ def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     ties never count against each other. Disconnected graphs are fine:
     components are independent for this question.
     """
-    for w, closers, _ in _graph_levels(g):
+    for w, closers, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
         if closers:
             u, v = g.vertices[closers[0][0]], g.vertices[closers[0][1]]
             detour = _bfs_path(strict_threshold_subgraph(g, w), u, v)
@@ -251,11 +250,11 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
     _require_connected(g)
     zero = [e for e in g._level_edges if e[2] == 0] if g._levels[:1] == (0,) else []
     joined = {(i, j) for i, j, _ in g._level_edges}
-    pairs = {  # each merge joins every pair across the two classes it fuses
-        (p, q) if p < q else (q, p)
-        for _, _, merges in _merge_levels(len(g.vertices), zero, g._levels)
-        for a, b in merges for p in a for q in b
-    }
+    home = np.arange(len(g.vertices))  # the last root of each vertex's zero class
+    for _, _, merges in _merge_levels(len(g.vertices), zero, g._levels):  # one level
+        for ra, rb, _, _ in reversed(merges):  # a later merge settled ra
+            home[rb] = home[ra]
+    pairs = set(map(tuple, np.argwhere(np.triu(home[:, None] == home, 1)).tolist()))
     return frozenset((g.vertices[p], g.vertices[q]) for p, q in pairs - joined)
 
 

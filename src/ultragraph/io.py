@@ -166,8 +166,8 @@ def _cell_texts(m: DistanceMatrix) -> list[list[str]]:
     """Text of every entry, formatting each distinct value once."""
     try:
         texts = np.array([format_weight(w) for w in m._values], dtype=object)
-    except DigitLimitError:  # name the first such cell in row-major order
-        [format_weight(x) for row in m.entries for x in row]
+    except DigitLimitError:  # name the first such cell: values by first appearance
+        [format_weight(m._values[k]) for k in dict.fromkeys(m.rank_array().ravel().tolist())]
         raise
     return texts[m.rank_array()].tolist()
 

@@ -6,24 +6,17 @@ finite connected graph equals the minimax (bottleneck) path distance;
 ``shortest_path_matrix`` computes the greatest pseudometric below the
 weighting, the usual min-sum path distance. Both are exact.
 
-Every matrix records the strongest axiom class its entries actually
-satisfy; the class is verified at construction, never assumed. A matrix
-holds its sorted distinct values and each entry's int32 rank among them,
-so each distinct value is converted, rescaled and formatted once; a
-graph brings its weights as integer levels (see ``graph``). Raw cells
-take one path, ``_from_cells``, and ``graph._ranked`` orders the values
-of every builder but the min-sum one, which ranks its sums. One table,
-``_CHECKS``, lists each class's checks: ``validate`` walks them in scan
-order, ``_classify`` takes the strongest class that passes them, and all
-but the plain triangle read the ranks alone. The min-sum layer runs on
-exact integers: the values (or edge weights) times the lcm of their
-denominators, which preserves every comparison and every sum; only when
-coprime denominators make that lcm wider than ``graph._SCALE_BITS`` do the
-Fractions stand for themselves. Dijkstra, the plain-triangle check,
-``compare`` and the betweenness exponent's ties use them. The plain
-triangle is scanned per middle vertex, vectorized; the strong triangle is
-certified in O(n²) by a Prim tree on the ranks and scanned only for
-``validate``'s witness. The verdicts stay exact.
+A matrix is its ranks: its sorted distinct values and each cell's int32
+rank among them, so each value is converted, rescaled and formatted once,
+and ``entries`` is built only when read. Its class is verified at
+construction: ``_CHECKS`` lists each class's checks for ``validate`` and
+``_classify``, all but the plain triangle read the ranks alone, and the
+strong triangle is certified in O(n²) by a Prim tree, scanned only for a
+witness. ``_merge_levels`` is the one single-linkage core; every cluster
+is an interval of one leaf order, so a builder fills two slices per merge
+(``_fill_intervals``). Dijkstra, the plain triangle, ``compare`` and the
+exponent run on the values times the lcm of their denominators, exact
+integers, unless that lcm is wider than ``graph._SCALE_BITS``.
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -95,25 +89,34 @@ _IMPLIED = {
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric square matrix of exact distances with a verified class;
-    ``_values`` are the distinct entries, increasing, indexed by ``_ranks``."""
+    """Symmetric square matrix of exact distances with a verified class: its
+    distinct entries ``_values``, increasing, and each cell's int32 rank, which
+    equality and hash read as bytes. ``entries`` is built on first read."""
 
     vertices: tuple[Vertex, ...]
-    entries: tuple[tuple[Weight, ...], ...]
     axiom_class: AxiomClass
-    _ranks: np.ndarray = field(compare=False, repr=False)
-    _index: dict = field(compare=False, repr=False)
-    _values: tuple[Weight, ...] = field(compare=False, repr=False)
+    _values: tuple[Weight, ...]
+    _ranks: np.ndarray = field(compare=False)
+    _rank_bytes: bytes
+    _index: dict = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def entries(self) -> tuple[tuple[Weight, ...], ...]:
+        return tuple(map(tuple, np.array(self._values, dtype=object)[self._ranks].tolist()))
+
     def entry(self, u: Vertex, v: Vertex) -> Weight:
-        return self.entries[self._index[u]][self._index[v]]
+        return self._values[self._ranks[self._index[u], self._index[v]]]
 
     def rank_array(self) -> np.ndarray:
         """Read-only integer recoding of the entries (order-isomorphic)."""
         return self._ranks
+
+    def __repr__(self) -> str:  # the form of a dataclass holding the entries
+        return (f"{type(self).__qualname__}(vertices={self.vertices!r}, "
+                f"entries={self.entries!r}, axiom_class={self.axiom_class!r})")
 
 
 class PartialOrderResult(Enum):
@@ -245,10 +248,9 @@ def _from_values(vertices: Sequence[Vertex], values: Sequence[Weight], ranks: np
     the distinct entries, increasing, and ``ranks`` int32, their dense recoding."""
     values = tuple(values)
     cls = _classify(ranks, values)
-    entries = tuple(map(tuple, np.array(values, dtype=object)[ranks].tolist()))
     ranks.flags.writeable = False
     index = {v: i for i, v in enumerate(vertices)}
-    return DistanceMatrix(tuple(vertices), entries, cls, ranks, index, values)
+    return DistanceMatrix(tuple(vertices), cls, values, ranks, ranks.tobytes(), index)
 
 
 def _check_vertices(verts: tuple[Vertex, ...]) -> None:
@@ -316,12 +318,11 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
 
     Yields ``(w, closers, merges)`` per level present, increasing.
     ``closers`` are the level's edges whose endpoints strictly lighter
-    edges already joined; ``merges`` lists each union in edge order as the
-    member lists of the two clusters it fused, survivor first. The lists
-    are never mutated once yielded, and a cluster's first member is its root.
+    edges already joined; ``merges`` lists each union in edge order as
+    ``(ra, rb, sa, sb)``, the roots and sizes of the two clusters it fused,
+    survivor first. Each root leads its cluster in ``_fill_intervals``' order.
     """
-    parent = list(range(n))
-    members: list[list[int]] = [[i] for i in range(n)]
+    parent, size = list(range(n)), [1] * n
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -338,19 +339,25 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
             ra, rb = find(ra), find(rb)  # short walks: they were roots as the level started
             if ra == rb:
                 continue
-            if len(members[ra]) < len(members[rb]):
+            if size[ra] < size[rb]:
                 ra, rb = rb, ra
-            a, b = members[ra], members[rb]
-            merges.append((a, b))
+            merges.append((ra, rb, size[ra], size[rb]))
             parent[rb] = ra
-            members[ra] = a + b
-            members[rb] = []
+            size[ra] += size[rb]
         yield values[k], closers, merges
 
 
-def _graph_levels(g: WeightedGraph):
-    """``_merge_levels`` over the graph's edges in canonical order."""
-    return _merge_levels(len(g.vertices), g._level_edges, g._levels)
+def _fill_intervals(n: int, merges: list, fill: int) -> np.ndarray:
+    """int32 codes in vertex order: ``code`` between the clusters each merge
+    ``(ra, rb, sa, sb, code)`` fuses into one tree of all ``n`` vertices, ``fill``
+    on the diagonal. Each cluster is an interval of one leaf order, from its root."""
+    at = [0] * n  # each vertex's place in the leaf order
+    codes = np.full((n, n), fill, dtype=np.int32)
+    for ra, rb, sa, sb, code in reversed(merges):  # a later merge placed ra
+        lo = at[ra]
+        at[rb] = mid = lo + sa
+        codes[lo:mid, mid:mid + sb] = codes[mid:mid + sb, lo:mid] = code
+    return codes[np.ix_(at, at)]
 
 
 def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
@@ -364,16 +371,12 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     components when no extension below the weight exists at all.
     """
     _require_connected(g)
-    n = len(g.vertices)
-    ranks = np.zeros((n, n), dtype=np.int32)
-    weights = [Fraction(0)]  # weight of each rank
-    for w, _, merges in _graph_levels(g):
-        if merges and w:
+    weights, merges = [Fraction(0)], []  # weight of each rank; merges with their rank
+    for w, _, level in _merge_levels(len(g.vertices), g._level_edges, g._levels):
+        if level and w:
             weights.append(w)
-        for a, b in merges:
-            ranks[np.asarray(a)[:, None], b] = len(weights) - 1
-            ranks[np.asarray(b)[:, None], a] = len(weights) - 1
-    return _from_values(g.vertices, weights, ranks)
+        merges += [(*m, len(weights) - 1) for m in level]
+    return _from_values(g.vertices, weights, _fill_intervals(len(g.vertices), merges, 0))
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
@@ -538,16 +541,14 @@ def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
     root = 0
     for w, _, merges in levels:
         if not w:
-            for a, b in merges:
-                first[a[0]] = min(first[a[0]], first[b[0]])
-                root = a[0]
+            for root, rb, _, _ in merges:
+                first[root] = min(first[root], first[rb])
             continue
         growing: dict[int, list[tuple[Vertex, Dendrogram]]] = {}
-        for a, b in merges:
-            kids = growing.pop(a[0], None) or [top(a[0])]
-            kids += growing.pop(b[0], None) or [top(b[0])]
-            growing[a[0]] = kids
-            root = a[0]
+        for root, rb, _, _ in merges:
+            kids = growing.pop(root, None) or [top(root)]
+            kids += growing.pop(rb, None) or [top(rb)]
+            growing[root] = kids
         for r, kids in growing.items():
             kids.sort(key=itemgetter(0))
             tops[r] = (kids[0][0], Dendrogram(w / 2, tuple(t for _, t in kids)))
@@ -562,7 +563,7 @@ def subdominant_dendrogram(g: WeightedGraph) -> Dendrogram:
     like ``subdominant_matrix``.
     """
     _require_connected(g)
-    return _merge_tree(g.vertices, _graph_levels(g))
+    return _merge_tree(g.vertices, _merge_levels(len(g.vertices), g._level_edges, g._levels))
 
 
 def dendrogram(m: DistanceMatrix) -> Dendrogram:
@@ -596,17 +597,18 @@ def matrix_from_dendrogram(
     _check_vertices(verts)
     idx = {v: i for i, v in enumerate(verts)}
     nodes = list(d._preorder())
-    # Each pair gets the code of its lowest common ancestor, its place in
-    # preorder, written there once; the diagonal gets the code after them.
-    codes = np.full((len(verts),) * 2, len(nodes), dtype=np.int32)
-    below: dict[int, list[int]] = {}  # leaf indices under each finished node
+    # A node's children fuse left to right into its first leaf's cluster, coded
+    # by the node's place in preorder; the diagonal gets the code after them.
+    tops: dict[int, tuple[int, int]] = {}  # finished node -> (root, size)
+    merges = []
     for code in reversed(range(len(nodes))):  # children before parents
-        kids = [below.pop(id(ch)) for ch in nodes[code].children]
-        run = [] if kids else [idx[nodes[code].label]]
-        for kid in kids:
-            codes[np.ix_(kid, run)] = codes[np.ix_(run, kid)] = code
-            run += kid
-        below[id(nodes[code])] = run
+        kids = [tops.pop(id(ch)) for ch in nodes[code].children]
+        (ra, sa), *rest = kids or [(idx[nodes[code].label], 1)]
+        for rb, sb in rest:
+            merges.append((ra, rb, sa, sb, code))
+            sa += sb
+        tops[id(nodes[code])] = (ra, sa)
+    codes = _fill_intervals(len(verts), merges, len(nodes))
     # Each used distance converted once, in row-major order: the first bad one errs.
     dist = [2 * node.height for node in nodes] + [Fraction(0)]
     used = list(dict.fromkeys(codes.ravel().tolist()))
@@ -682,8 +684,6 @@ def betweenness_exponent(m: DistanceMatrix, tol: float = 1e-9) -> float:
 
 def matrix_to_complete_graph(m: DistanceMatrix) -> WeightedGraph:
     """Complete graph whose weight on each pair is the matrix entry."""
-    edges = [
-        (m.vertices[i], m.vertices[j], m.entries[i][j])
-        for i, j in combinations(range(len(m.vertices)), 2)
-    ]
-    return build_graph(m.vertices, edges)
+    rows, v = m.rank_array().tolist(), m.vertices
+    pairs = combinations(range(len(v)), 2)
+    return build_graph(v, [(v[i], v[j], m._values[rows[i][j]]) for i, j in pairs])

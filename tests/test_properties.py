@@ -5,9 +5,10 @@ import json
 import random
 from collections import deque
 from contextlib import contextmanager, nullcontext
+from dataclasses import make_dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
-from operator import add
+from itertools import combinations, groupby, product
+from operator import add, itemgetter
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -926,7 +927,9 @@ def test_well_chained_pairs_matches_zero_subgraph_components(g):
 
 
 # quotient and matrix_from_dendrogram build from ranks; the references are
-# their per-cell forms, which rebuilt Fraction rows for distance_matrix.
+# their per-cell forms, which rebuilt Fraction rows for distance_matrix, and
+# the member-list bodies that filled subdominant_matrix and
+# matrix_from_dendrogram before clusters became intervals of a leaf order.
 
 
 def reference_quotient(m):
@@ -956,6 +959,70 @@ def reference_matrix_from_dendrogram(d, vertices=None):
                     rows[idx[a]][idx[b]] = dist
                     rows[idx[b]][idx[a]] = dist
     return ug.distance_matrix(verts, rows)
+
+
+def member_list_merges(n, edges):
+    """Per weight level, each union's two member lists, survivor first, as
+    the merge core kept them: every union copies both lists."""
+    parent = list(range(n))
+    members = [[i] for i in range(n)]
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
+        merges = []
+        for i, j, _ in batch:
+            ra, rb = find(i), find(j)
+            if ra == rb:
+                continue
+            if len(members[ra]) < len(members[rb]):
+                ra, rb = rb, ra
+            merges.append((members[ra], members[rb]))
+            parent[rb] = ra
+            members[ra], members[rb] = members[ra] + members[rb], []
+        yield k, merges
+
+
+def member_list_subdominant_matrix(g):
+    metrics._require_connected(g)
+    n = len(g.vertices)
+    ranks = np.zeros((n, n), dtype=np.int32)
+    weights = [Fraction(0)]  # weight of each rank
+    for k, merges in member_list_merges(n, g._level_edges):
+        if merges and g._levels[k]:
+            weights.append(g._levels[k])
+        for a, b in merges:
+            ranks[np.asarray(a)[:, None], b] = len(weights) - 1
+            ranks[np.asarray(b)[:, None], a] = len(weights) - 1
+    return metrics._from_values(g.vertices, weights, ranks)
+
+
+def member_list_matrix_from_dendrogram(d, vertices=None):
+    leaf_order = d.leaves()
+    verts = tuple(vertices) if vertices is not None else tuple(leaf_order)
+    if sorted(verts) != sorted(leaf_order):
+        raise ug.VertexMismatchError("vertex list must be a permutation of leaves")
+    metrics._check_vertices(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    nodes = list(d._preorder())
+    codes = np.full((len(verts),) * 2, len(nodes), dtype=np.int32)
+    below = {}  # leaf indices under each finished node
+    for code in reversed(range(len(nodes))):  # children before parents
+        kids = [below.pop(id(ch)) for ch in nodes[code].children]
+        run = [] if kids else [idx[nodes[code].label]]
+        for kid in kids:
+            codes[np.ix_(kid, run)] = codes[np.ix_(run, kid)] = code
+            run += kid
+        below[id(nodes[code])] = run
+    dist = [2 * node.height for node in nodes] + [Fraction(0)]
+    used = list(dict.fromkeys(codes.ravel().tolist()))
+    values, ranks = graph._ranked([ug.to_weight(dist[c]) for c in used])
+    recode = np.zeros(len(dist), dtype=np.int32)
+    recode[used] = ranks
+    return metrics._from_values(verts, values, recode[codes])
 
 
 def same_matrix(got, want):
@@ -1034,11 +1101,13 @@ def test_matrix_from_dendrogram_matches_the_per_cell_path(tree, wide):
     d, order = tree
     with stand_ins(wide):
         got = outcome(ug.matrix_from_dendrogram, d, order)
-        want = outcome(reference_matrix_from_dendrogram, d, order)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        same_matrix(got, want)
+        wants = [outcome(f, d, order)
+                 for f in (reference_matrix_from_dendrogram, member_list_matrix_from_dendrogram)]
+    for want in wants:
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            same_matrix(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1196,3 +1265,97 @@ def test_a_caterpillar_round_trips_to_the_subdominant_matrix():
     back = ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g), m.vertices)
     assert back == m
     assert back.axiom_class is AxiomClass.ULTRAMETRIC
+
+
+# A matrix is its ranks: the builders fill single-linkage clusters as
+# intervals of one leaf order, against the member-list bodies they
+# replaced, and ``entries`` is built only when read.
+
+
+@settings(max_examples=300, deadline=None)
+@given(twice_max_graphs(max_n=24, kinds=("corpus", "zero-heavy")), st.booleans(), st.randoms())
+def test_interval_fills_match_the_member_list_bodies(g, wide, rng):
+    with stand_ins(wide):
+        g = ug.build_graph(g.vertices, list(g.weighted_edges()))
+        m = ug.subdominant_matrix(g)
+        same_matrix(m, member_list_subdominant_matrix(g))
+        d = ug.subdominant_dendrogram(g)
+        order = rng.sample(d.leaves(), len(d.leaves()))
+        for verts in (None, order):
+            same_matrix(ug.matrix_from_dendrogram(d, verts),
+                        member_list_matrix_from_dendrogram(d, verts))
+    assert ug.well_chained_pairs(g) == reference_well_chained_pairs(g)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_the_caterpillar_matches_the_member_list_bodies(wide):
+    # Each merge adds one leaf, so the member lists were copied 999 times.
+    with stand_ins(wide):
+        g = chain(1000, ks=range(1, 1000))
+        m = ug.subdominant_matrix(g)
+        same_matrix(m, member_list_subdominant_matrix(g))
+        d = ug.subdominant_dendrogram(g)
+        for verts in (None, m.vertices):
+            same_matrix(ug.matrix_from_dendrogram(d, verts),
+                        member_list_matrix_from_dendrogram(d, verts))
+
+
+# What a matrix compared, hashed and printed as when it was a dataclass
+# of its vertices, entries and class.
+FieldForm = make_dataclass("DistanceMatrix", ["vertices", "entries", "axiom_class"], frozen=True)
+
+
+def field_form(m):
+    return FieldForm(m.vertices, m.entries, m.axiom_class)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twice_max_graphs(max_n=8))
+def test_matrices_are_equal_exactly_when_their_entries_are(g):
+    sub = ug.subdominant_matrix(g)
+    parts, q = ug.quotient(sub)
+    d = ug.subdominant_dendrogram(g)
+    rows = [list(row) for row in sub.entries]
+    built = [
+        sub, ug.shortest_path_matrix(g), q,
+        ug.distance_matrix(g.vertices, rows),
+        ug.parse_matrix(ug.emit_matrix(sub, "csv"), "csv"),
+        ug.matrix_from_dendrogram(d), ug.matrix_from_dendrogram(d, q.vertices),
+        # the same ranks over other values; the same cells in another order,
+        # under the same names and under the names moved with them
+        ug.distance_matrix(g.vertices, [[2 * x for x in row] for row in rows]),
+        ug.distance_matrix(g.vertices, [row[::-1] for row in rows[::-1]]),
+        ug.distance_matrix(g.vertices[::-1], [row[::-1] for row in rows[::-1]]),
+    ]
+    if ug.is_pseudoultrametrizable(g).pseudoultrametrizable:
+        built.append(ug.greatest_extension(g))
+    for a, b in product(built, repeat=2):
+        assert (a == b) == (field_form(a) == field_form(b))
+        if a == b:
+            assert hash(a) == hash(b)
+    for a in built:
+        assert repr(a) == repr(field_form(a))
+
+
+def test_no_library_path_builds_entries():
+    g = random_multipartite(random.Random(3), 3, 4, 4)
+    sub = ug.subdominant_matrix(g)
+    q = ug.quotient(sub)[1]
+    made = [sub, q, ug.shortest_path_matrix(g), ug.least_extension(g),
+            ug.distance_matrix(g.vertices, [[0] * len(g.vertices)] * len(g.vertices)),
+            ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g)),
+            ug.matrix_from_dendrogram(ug.dendrogram(q), q.vertices)]
+    made += [ug.parse_matrix(ug.emit_matrix(m, fmt), fmt) for m in made for fmt in ("json", "csv")]
+    for m in made:
+        assert ug.compare(m, m) is PartialOrderResult.EQUAL
+        for target in AxiomClass:
+            ug.validate(m, target)
+        ug.matrix_to_complete_graph(m)
+        m.entry(m.vertices[0], m.vertices[-1])
+        if m.axiom_class is AxiomClass.ULTRAMETRIC:
+            ug.dendrogram(m)
+    long = ug.distance_matrix("ab", [[0, 10**6000], [10**5000, 0]])
+    with pytest.raises(ug.DigitLimitError, match="about 6000 digits"):
+        ug.emit_matrix(long)
+    made.append(long)
+    assert [m.vertices for m in made if "entries" in m.__dict__] == []
