@@ -3,8 +3,12 @@
 All serialization is exact. Weights print as the shortest terminating
 decimal when one exists, else as ``p/q``; parsing either form recovers
 the value bit-for-bit, so emit-parse round trips are identities, and
-each distinct literal or matrix value is parsed or formatted once. An
-edge list is read in one pass into index form; ``graph._ranked`` orders values.
+each distinct literal or matrix value is parsed or formatted once. Those
+plain forms are read with one ASCII regex and ``Fraction(int, int)``,
+every other literal by ``Fraction``. A matrix is written a row at a
+time: each distinct value's text, JSON-encoded once, picked by rank and
+joined. An edge list is read in one pass into index form;
+``graph._ranked`` orders values.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -33,10 +37,15 @@ from .metrics import Dendrogram, DistanceMatrix, _from_cells
 # the digits Fraction must build, well below int's 4,300-digit str limit.
 _LITERAL_LIMIT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+# The forms format_weight writes, read without Fraction's grammar: an
+# integer, a ratio or a decimal, in ASCII digits.
+_PLAIN = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
 def _literal_value(text, line: int | None = None) -> Fraction:
-    """Exact value of a weight literal; refuses literals too large to convert."""
+    """Exact value of a weight literal; refuses literals too large to convert.
+    ``Fraction`` reads every literal but the plain forms of ``_PLAIN``."""
+    plain = None
     if isinstance(text, str):
         exp = _EXPONENT.search(text)
         if len(text) > _LITERAL_LIMIT or (exp and abs(int(exp[1])) > _LITERAL_LIMIT):
@@ -45,8 +54,14 @@ def _literal_value(text, line: int | None = None) -> Fraction:
                 f"or with an exponent beyond {_LITERAL_LIMIT} in size",
                 line=line,
             )
+        plain = _PLAIN.fullmatch(text)
     try:
-        return Fraction(text)
+        if plain is None:
+            return Fraction(text)
+        whole, den, frac = plain.groups()
+        if frac:
+            return Fraction(int(whole + frac), 10 ** len(frac))
+        return Fraction(int(whole), int(den or 1))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad weight literal {text!r}", line=line) from None
 
@@ -63,7 +78,8 @@ def _check_digits(digits: int) -> int:
 
 def parse_weight(text: str) -> Weight:
     """Exact nonnegative weight from a decimal or ``p/q`` literal."""
-    return to_weight(_literal_value(text))
+    w = _literal_value(text)
+    return w if w.numerator >= 0 else to_weight(w)  # NegativeWeightError
 
 
 def _digits(k: int) -> str:
@@ -162,33 +178,31 @@ def emit_edge_list(g: WeightedGraph) -> str:
     return "\n".join(lines)
 
 
-def _cell_texts(m: DistanceMatrix) -> list[list[str]]:
-    """Text of every entry, formatting each distinct value once."""
+def _rows(m: DistanceMatrix, quote) -> list[str]:
+    """Each row's cells joined by commas: each distinct value is formatted,
+    and its text passed through ``quote``, once."""
     try:
-        texts = np.array([format_weight(w) for w in m._values], dtype=object)
+        texts = [quote(format_weight(w)) for w in m._values]
     except DigitLimitError:  # name the first such cell: values by first appearance
         [format_weight(m._values[k]) for k in dict.fromkeys(m.rank_array().ravel().tolist())]
         raise
-    return texts[m.rank_array()].tolist()
+    return list(map(",".join, np.array(texts, dtype=object)[m.rank_array()].tolist()))
 
 
 def emit_matrix(m: DistanceMatrix, format: str = "json") -> str:
     """Serialize a matrix as json or csv; round trips are bit-exact."""
-    if format == "json":
-        doc = {
-            "vertices": list(m.vertices),
-            "matrix": _cell_texts(m),
-            "axiom_class": m.axiom_class.value,
-        }
-        return json.dumps(doc, separators=(",", ":"))
+    if format == "json":  # json.dumps(doc, separators=(",", ":")), a row at a time
+        rows = ",".join(map("[{}]".format, _rows(m, json.dumps)))
+        vertices = json.dumps(list(m.vertices), separators=(",", ":"))
+        axiom_class = json.dumps(m.axiom_class.value)
+        return f'{{"vertices":{vertices},"matrix":[{rows}],"axiom_class":{axiom_class}}}'
     if format == "csv":
         for name in m.vertices:
             # parse_matrix splits rows at every line break str.splitlines knows
             if "," in name or len((name + ".").splitlines()) > 1:
                 raise ParseError(f"vertex name {name!r} cannot appear in csv")
         lines = ["," + ",".join(m.vertices)]
-        for name, row in zip(m.vertices, _cell_texts(m)):
-            lines.append(name + "," + ",".join(row))
+        lines += map("{},{}".format, m.vertices, _rows(m, str))
         return "\n".join(lines)
     raise ParseError(f"unknown matrix format {format!r}")
 

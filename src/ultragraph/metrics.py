@@ -173,19 +173,12 @@ def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | N
     return None
 
 
-def _strong_triangle_holds(ranks: np.ndarray) -> bool:
-    """Whether ``ranks`` satisfy the strong triangle, in O(n²); they must be
-    symmetric with a zero diagonal, as the asymmetry and nonzero-diagonal
-    checks before it in ``_CHECKS`` order ensure.
-
-    Prim from vertex 0 joins each vertex k to its nearest placed vertex
-    p(k). The ranks hold iff d(k, j) = max(d(k, p(k)), d(p(k), j)) for every
-    j placed before k: the right side fills in the tree's path maximum, an
-    ultrametric, and an ultrametric equals its own minimax distance, which
-    every minimum spanning tree realises."""
+def _prim_tree(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim from vertex 0 on nonempty symmetric ``ranks``: at [k, j] whether
+    j is placed before k, and each vertex's parent p(k), its nearest vertex
+    placed before it (vertex 0's own is 0). The edges (k, p(k)) for k > 0
+    form a minimum spanning tree."""
     n = len(ranks)
-    if not n:  # argmin needs a row
-        return True
     top = np.int64(np.iinfo(np.int64).max)  # above every rank; as a NumPy scalar, never cast down
     rows = ranks.astype(np.int64)  # a placed vertex's column turns to top
     place = np.zeros(n, dtype=np.intp)  # position in Prim order
@@ -194,8 +187,24 @@ def _strong_triangle_holds(ranks: np.ndarray) -> bool:
         k = int(link.argmin())
         place[k], link[k], rows[:, k] = t, top, top
         np.minimum(link, rows[k], out=link)
-    earlier = place < place[:, None]  # at [k, j]: j placed before k
-    parent = np.where(earlier, ranks, top).argmin(axis=1)  # the nearest such j
+    earlier = place < place[:, None]
+    return earlier, np.where(earlier, ranks, top).argmin(axis=1)
+
+
+def _strong_triangle_holds(ranks: np.ndarray) -> bool:
+    """Whether ``ranks`` satisfy the strong triangle, in O(n²); they must be
+    symmetric with a zero diagonal, as the asymmetry and nonzero-diagonal
+    checks before it in ``_CHECKS`` order ensure.
+
+    The Prim tree joins each vertex k to its parent p(k). The ranks hold iff
+    d(k, j) = max(d(k, p(k)), d(p(k), j)) for every j placed before k: the
+    right side fills in the tree's path maximum, an ultrametric, and an
+    ultrametric equals its own minimax distance, which every minimum
+    spanning tree realises."""
+    n = len(ranks)
+    if not n:  # argmin needs a row
+        return True
+    earlier, parent = _prim_tree(ranks)
     bound = np.maximum(ranks[parent], ranks[np.arange(n), parent][:, None])
     return not ((ranks != bound) & earlier).any()
 
@@ -261,22 +270,32 @@ def _check_vertices(verts: tuple[Vertex, ...]) -> None:
 def _from_cells(vertices: Sequence[Vertex], rows, convert):
     """Matrix over ``vertices`` from raw cells: ``convert`` runs once per
     distinct cell, by first appearance, before the names and the shape are
-    checked. A string keys itself, any other cell with its type (1.0 is no 1)."""
+    checked. When every cell is a ``str`` the cells are their own keys;
+    otherwise a string keys itself and any other cell is keyed with its type
+    (1.0 is no 1), a Fraction by its two integers, since its hash is Python code."""
     cells = [cell for row in rows for cell in row]
-    keys = [cell if type(cell) is str else (type(cell), cell) for cell in cells]
-    first: dict = {}  # where each key first appears
-    try:  # each key hashed once: Fraction.__hash__ is Python code
-        at = list(map(first.setdefault, keys, range(len(keys))))
+    try:  # a str caches its hash: text keys itself in one C pass
+        texts = dict.fromkeys(cells) if cells and type(cells[0]) is str else {}
+        if texts and all(type(k) is str for k in texts):
+            at, firsts = cells, list(texts)  # the cells key themselves
+            distinct = firsts
+        else:  # each cell's key, then where each key first appears
+            keys = [c if (t := type(c)) is str else (t, c) if t is not Fraction
+                    else (t, c.numerator, c.denominator) for c in cells]
+            first: dict = {}
+            at = list(map(first.setdefault, keys, range(len(keys))))
+            firsts = list(first.values())
+            distinct = [cells[i] for i in firsts]
     except TypeError:  # an unhashable cell, refused in row-major order
         [convert(cell) for cell in cells]
         raise
-    converted = [convert(cells[i]) for i in first.values()]
+    converted = list(map(convert, distinct))
     _check_vertices(vertices)
     n = len(vertices)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise VertexMismatchError(f"entries must form a {n}x{n} square")
     values, ranks = _ranked(converted)  # two spellings may give one value
-    codes = np.fromiter(map(dict(zip(first.values(), ranks)).__getitem__, at), np.int32, n * n)
+    codes = np.fromiter(map(dict(zip(firsts, ranks)).__getitem__, at), np.int32, n * n)
     return _from_values(vertices, values, codes.reshape(n, n))
 
 
@@ -576,9 +595,10 @@ def dendrogram(m: DistanceMatrix) -> Dendrogram:
             f"matrix class is {m.axiom_class.value}, need ultrametric"
         )
     n = len(m.vertices)
-    i, j = np.triu_indices(n, 1)
-    pairs = zip(i.tolist(), j.tolist(), m._ranks[i, j].tolist())
-    return _merge_tree(m.vertices, _merge_levels(n, pairs, m._values))
+    k = np.arange(1, n)  # the minimum spanning tree's edges merge as all pairs do
+    parent = _prim_tree(m._ranks)[1][1:]
+    edges = zip(k.tolist(), parent.tolist(), m._ranks[k, parent].tolist())
+    return _merge_tree(m.vertices, _merge_levels(n, edges, m._values))
 
 
 def matrix_from_dendrogram(

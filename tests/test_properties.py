@@ -3,6 +3,7 @@ brute-force oracles and against each other."""
 
 import json
 import random
+import re
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import make_dataclass
@@ -14,10 +15,10 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import ultragraph as ug
-from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, metrics, oracle
+from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, io, metrics, oracle
 from ultragraph.graph import _rescale
 from ultragraph.metrics import _as_array, _scan_witness, _strong_triangle_holds
 
@@ -1146,16 +1147,114 @@ def counted(name):
         yield calls
 
 
+@contextmanager
+def conversions(name):
+    """Record each cell the ``io`` converter ``name`` is given."""
+    cells = []
+    convert = getattr(io, name)
+
+    def recording(cell):
+        cells.append(cell)
+        return convert(cell)
+
+    with mock.patch.object(io, name, recording):
+        yield cells
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_parse_matrix_neither_hashes_nor_sorts_fractions(fmt):
-    # 200 distinct values over 40,000 cells
+    # 200 distinct values over 40,000 cells, every one a str
     m = ug.subdominant_matrix(chain(200))
     text = ug.emit_matrix(m, fmt)
-    with counted("__hash__") as hashes, counted("__lt__") as less:
+    convert = {"json": "_json_weight", "csv": "parse_weight"}[fmt]
+    with counted("__hash__") as hashes, counted("__lt__") as less, conversions(convert) as cells:
         back = ug.parse_matrix(text, fmt)
     assert back == m
-    assert len(hashes) == 0
-    assert len(less) <= len(m._values)  # the negativity check, once per distinct cell
+    assert len(hashes) == len(less) == 0  # the sign is read off the numerator
+    assert sorted(cells) == sorted(map(ug.format_weight, m._values))  # each once
+
+
+def test_distance_matrix_hashes_no_fraction_cell():
+    m = ug.subdominant_matrix(chain(200))
+    fresh = [[Fraction(x) for x in row] for row in m.entries]
+    for rows in (m.entries, fresh):  # one object per value, and one per cell
+        with counted("__hash__") as hashes:
+            built = ug.distance_matrix(m.vertices, rows)
+        assert built == m
+        assert len(hashes) == 0
+
+
+# Cells that are equal across types are still converted apart: a float is
+# refused, True converts like 1, and the first bad cell in row-major order
+# is the one reported.
+@pytest.mark.parametrize("mix", [
+    [1, True, Fraction(1), "1"],
+    [True, 1, "1/1", Fraction(1)],
+    [Fraction(1), 1, 1.0, True],
+    [1, "1", True, 1.0],
+    [1.0, 1, Fraction(1), True],
+    ["1", Fraction(1), 1, [1]],
+    ["1", "1.0", 1, "-1"],
+])
+def test_mixed_cells_keep_their_values_and_errors(mix):
+    names = ["a", "b", "c", "d", "e"]
+    rows = [[0 if i == j else mix[(i + j) % len(mix)] for j in range(5)] for i in range(5)]
+    got = outcome(ug.distance_matrix, names, rows)
+    try:
+        want = per_cell(names, rows)
+    except (ug.UltragraphError, TypeError) as exc:
+        assert got == (type(exc), str(exc))
+    else:
+        assert_same(as_built(got), want)
+
+
+# Literals in the forms format_weight writes are read without Fraction's
+# grammar; Fraction stays the authority on every other string.
+
+LITERAL_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789٣_./eE+- \t"), max_size=10),
+    st.from_regex(r"[0-9]{1,5}(/[0-9]{1,5}|\.[0-9]{1,5})?", fullmatch=True),
+    st.sampled_from(["1/0", "0/0", "00/00", "1.", ".5", "1_0", "٣/٣", " 1/2 ", "-0.50", "+7"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LITERAL_TEXT)
+def test_literal_value_reads_what_fraction_reads(text):
+    exp = io._EXPONENT.search(text)
+    assume(not exp or abs(int(exp[1])) <= io._LITERAL_LIMIT)  # past it, refused unread
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ug.ParseError, match=re.escape(f"bad weight literal {text!r}")):
+            io._literal_value(text)
+    else:
+        got = io._literal_value(text)
+        assert type(got) is Fraction and got == want
+
+
+# The JSON emitter writes each row's joined text; json.dumps of the whole
+# document is the reference, byte for byte.
+
+NAME_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "é", "😀", "a", ","]),
+                    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NAME_TEXT, min_size=1, max_size=5, unique=True), st.data())
+def test_json_emit_is_json_dumps_of_the_document(names, data):
+    n = len(names)
+    cells = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):  # a classified matrix beyond none
+        for i in range(n):
+            cells[i][i] = Fraction(0)
+            for j in range(i):
+                cells[i][j] = cells[j][i]
+    m = ug.distance_matrix(names, cells)
+    doc = {"vertices": names, "matrix": [[ug.format_weight(x) for x in row] for row in cells],
+           "axiom_class": m.axiom_class.value}
+    assert ug.emit_matrix(m, "json") == json.dumps(doc, separators=(",", ":"))
+    assert ug.parse_matrix(ug.emit_matrix(m, "json")) == m
 
 
 # The strong triangle is decided by a Prim certificate in O(n²); the cubic
@@ -1211,6 +1310,24 @@ def test_validate_strong_triangle_matches_the_reference(rows, fault, data):
     for target in (AxiomClass.PSEUDOULTRAMETRIC, AxiomClass.ULTRAMETRIC):
         assert ug.validate(m, target) == reference_validate(rows, names, target)
     assert m.axiom_class is reference_class(rows)
+
+
+def all_pairs_dendrogram(m):
+    """dendrogram(m) as it merged all n(n-1)/2 pairs, not the Prim tree's n-1."""
+    n = len(m.vertices)
+    i, j = np.triu_indices(n, 1)
+    pairs = zip(i.tolist(), j.tolist(), m.rank_array()[i, j].tolist())
+    return metrics._merge_tree(m.vertices, metrics._merge_levels(n, pairs, m._values))
+
+
+@settings(max_examples=500, deadline=None)
+@given(strong_triangle_cases(min_n=1), st.permutations(["b", "a", "v10", "v2", "v1", "B", "é"]))
+def test_dendrogram_over_the_prim_tree_matches_all_pairs(rows, labels):
+    m = ug.distance_matrix(labels[:len(rows)], rows)
+    assume(m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC))
+    q = ug.quotient(m)[1]  # ties at one height make multiway nodes
+    got, want = ug.dendrogram(q), all_pairs_dendrogram(q)
+    assert got == want and repr(got) == repr(want)
 
 
 @contextmanager
