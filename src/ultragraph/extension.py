@@ -11,19 +11,23 @@ nonadjacent pair, whether some connecting path has a unique maximal
 edge. With H the strictly lighter subgraph, pair {p,q} has such a path
 through edge e = {x,y} iff H + e has a simple p-q path through e. If e
 joins two components of H, it is a bridge of H + e, and p and q must lie
-one in each. Otherwise e merges the blocks on the x-y path of H's
-block-cut forest into one block, and an edge of a block lies on a simple
-p-q path iff the block lies on the forest path from p to q. So one
-forest per weight level decides every pair: mark the blocks on each
-same-component edge's x-y path; a pair in one component is hit iff its
-forest path meets a marked block.
+one in each. Otherwise e closes a cycle with a unique maximum (it is a
+closer), it merges the blocks on the x-y path of H's block-cut forest
+into one block, and an edge of a block lies on a simple p-q path iff the
+block lies on the forest path from p to q. So the merge levels decide
+every pair. At a level with no closer no block is marked, and a pair is
+hit iff one edge of the level joins its two components directly. Only a
+level with a closer, which no extendable weighting has, builds the forest
+of H: it marks the blocks on each closer's x-y path, and a pair in one
+component is hit iff its forest path meets a marked block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -101,7 +105,7 @@ def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     ties never count against each other. Disconnected graphs are fine:
     components are independent for this question.
     """
-    for w, closers, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
+    for w, closers, _, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
         if closers:
             u, v = g.vertices[closers[0][0]], g.vertices[closers[0][1]]
             detour = _bfs_path(strict_threshold_subgraph(g, w), u, v)
@@ -167,77 +171,91 @@ def _block_forest(adj: list[list[int]]):
     return root, parent, order, key
 
 
-def _twice_max_analysis(
-    g: WeightedGraph,
-) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+def _pieces(n: int, edges, closers: list[tuple[int, int, int]]) -> np.ndarray:
+    """Each vertex's piece of the index graph ``edges`` once the blocks on
+    every closer's forest path are cut: two vertices of one component lie
+    in different pieces iff their forest path meets a marked block."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for x, y, _ in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    _, parent, order, key = _block_forest(adj)
+    # Mark each closer's forest path, jumping over the nodes earlier paths marked.
+    hot = [False] * len(parent)
+    top = list(range(len(parent)))
+
+    def find(a: int) -> int:
+        while top[a] != a:
+            top[a] = top[top[a]]
+            a = top[a]
+        return a
+
+    for x, y, _ in closers:
+        a, b = find(x), find(y)
+        while a != b:
+            if key[a] < key[b]:
+                a, b = b, a
+            hot[a], top[a] = True, parent[a]
+            a = find(a)
+        hot[a] = True
+    piece = list(range(n))
+    for v in order:
+        if parent[v] >= 0 and not hot[parent[v]]:
+            piece[v] = piece[parent[parent[v]]]
+    return np.array(piece)
+
+
+def _columns(rows: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    """The columns of equal-width index tuples, as the rows of one array."""
+    return np.fromiter(chain.from_iterable(rows), np.intp, width * len(rows)).reshape(-1, width).T
+
+
+def _twice_max_analysis(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the nonadjacent index pairs by unique-maximum-path existence.
 
-    Returns (pairs with no unique-max path, the weight level of the least
-    unique-max path's dominant edge for each of the others), deciding
-    each weight level on one block-vertex forest (see the module docstring).
+    Returns the pairs ``(p, q)``, ``p < q``, in row-major order as two index
+    arrays, and for each the weight level of the least unique-max path's
+    dominant edge, or -1 where every connecting path has two maximal edges.
+    Walks the merge levels (see the module docstring).
     """
-    _require_connected(g)
-
     n = len(g.vertices)
-    levels: list[list[tuple[int, int]]] = [[] for _ in g._levels]
-    for i, j, k in g._level_edges:
-        levels[k].append((i, j))
-    joined = {(i, j) for i, j, _ in g._level_edges}
-    unresolved = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in joined
-    ]
-    values: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(n)]  # the lighter graph
-    for w, batch in enumerate(levels):
-        if not unresolved:
+    steps = list(_merge_levels(n, g._level_edges, range(len(g._levels))))
+    if sum(len(merges) for _, _, merges, _ in steps) < n - 1:
+        _require_connected(g)  # raises, naming two components
+    i, j, _ = _columns(g._level_edges, 3)
+    joined = np.tri(n, dtype=bool)
+    joined[i, j] = True
+    p, q = np.nonzero(~joined)
+    level = np.full(len(p), -1)
+    live = np.arange(len(p))  # the pairs no level has hit yet
+    label = np.arange(n)  # each vertex's root in the lighter graph
+    to = np.arange(n)  # each root's root once the level's merges are done
+    cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
+    for k, closers, merges, roots in steps:
+        if not len(live):
             break
-        comp, parent, order, key = _block_forest(adj)
-        # Mark the forest path of every same-component edge, jumping over
-        # the nodes earlier paths marked.
-        hot = [False] * len(parent)
-        top = list(range(len(parent)))
-
-        def find(a: int) -> int:
-            while top[a] != a:
-                top[a] = top[top[a]]
-                a = top[a]
-            return a
-
-        cross = set()
-        for x, y in batch:
-            if comp[x] != comp[y]:
-                cross |= {(comp[x], comp[y]), (comp[y], comp[x])}
-                continue
-            a, b = find(x), find(y)
-            while a != b:
-                if key[a] < key[b]:
-                    a, b = b, a
-                hot[a], top[a] = True, parent[a]
-                a = find(a)
-            hot[a] = True
-        piece = list(range(n))  # pieces left once the marked blocks are cut
-        for v in order:
-            if parent[v] >= 0 and not hot[parent[v]]:
-                piece[v] = piece[parent[parent[v]]]
-
-        still = []
-        for p, q in unresolved:
-            if piece[p] != piece[q] and (comp[p] == comp[q] or (comp[p], comp[q]) in cross):
-                values[p, q] = w
-            else:
-                still.append((p, q))
-        unresolved = still
-        for x, y in batch:
-            adj[x].append(y)
-            adj[y].append(x)
-
-    return unresolved, values
+        lp, lq = label[p[live]], label[q[live]]
+        ra, rb = _columns(roots, 2)
+        cross[ra, rb] = cross[rb, ra] = True
+        hit = cross[lp, lq]
+        cross[ra, rb] = cross[rb, ra] = False
+        if closers:
+            piece = _pieces(n, (e for e in g._level_edges if e[2] < k), closers)
+            same = lp == lq  # not np.where: its first call adds about 0.3 MB of RSS
+            hit[same] = (piece[p[live]] != piece[q[live]])[same]
+        level[live[hit]] = k
+        live = live[~hit]
+        for a, b, _, _ in reversed(merges):  # a later merge settled a
+            to[b] = to[a]
+        label = to[label]
+    return p, q, level
 
 
 def twice_max_pairs(g: WeightedGraph) -> PairSet:
     """Nonadjacent pairs whose every connecting path has >= 2 maximal edges."""
-    pairs, _ = _twice_max_analysis(g)
-    return frozenset((g.vertices[p], g.vertices[q]) for p, q in pairs)
+    p, q, level = _twice_max_analysis(g)
+    v, twice = g.vertices, level < 0
+    return frozenset((v[a], v[b]) for a, b in zip(p[twice].tolist(), q[twice].tolist()))
 
 
 def well_chained_pairs(g: WeightedGraph) -> PairSet:
@@ -251,7 +269,7 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
     zero = [e for e in g._level_edges if e[2] == 0] if g._levels[:1] == (0,) else []
     joined = {(i, j) for i, j, _ in g._level_edges}
     home = np.arange(len(g.vertices))  # the last root of each vertex's zero class
-    for _, _, merges in _merge_levels(len(g.vertices), zero, g._levels):  # one level
+    for _, _, merges, _ in _merge_levels(len(g.vertices), zero, g._levels):  # one level
         for ra, rb, _, _ in reversed(merges):  # a later merge settled ra
             home[rb] = home[ra]
     pairs = set(map(tuple, np.argwhere(np.triu(home[:, None] == home, 1)).tolist()))
@@ -278,11 +296,13 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
     if not report.pseudoultrametrizable:
         raise NotExtendableError(report.witness)
 
-    _, values = _twice_max_analysis(g)  # twice-max pairs stay at 0
+    p, q, level = _twice_max_analysis(g)
     table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
+    rank = np.array(rank, dtype=np.int32)  # so twice-max pairs (-1) stay at 0
+    i, j, k = _columns(g._level_edges, 3)
     ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
-    for i, j, k in [*g._level_edges, *((p, q, k) for (p, q), k in values.items())]:
-        ranks[i, j] = ranks[j, i] = rank[k + 1]
+    ranks[i, j] = ranks[j, i] = rank[k + 1]
+    ranks[p, q] = ranks[q, p] = rank[level + 1]
     m = _from_values(g.vertices, table, ranks)
     if not m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC):
         raise NotPseudoultrametricError(

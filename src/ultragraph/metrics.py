@@ -335,11 +335,12 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
     """Kruskal pass over index edges ``(i, j, k)`` of weight ``values[k]``,
     one weight level at a time; ``values`` must be increasing.
 
-    Yields ``(w, closers, merges)`` per level present, increasing.
+    Yields ``(w, closers, merges, roots)`` per level present, increasing.
     ``closers`` are the level's edges whose endpoints strictly lighter
     edges already joined; ``merges`` lists each union in edge order as
     ``(ra, rb, sa, sb)``, the roots and sizes of the two clusters it fused,
     survivor first. Each root leads its cluster in ``_fill_intervals``' order.
+    ``roots`` holds each edge's endpoint roots as the level started.
     """
     parent, size = list(range(n)), [1] * n
 
@@ -351,10 +352,14 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
 
     for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
         batch = list(batch)
-        roots = [(find(i), find(j)) for i, j, _ in batch]
+        if 2 * len(batch) > n:  # a dense level: find each vertex's root once
+            root = list(map(find, range(n)))
+            roots = [(root[i], root[j]) for i, j, _ in batch]
+        else:
+            roots = [(find(i), find(j)) for i, j, _ in batch]
         closers = [e for e, (ra, rb) in zip(batch, roots) if ra == rb]
         merges = []
-        for ra, rb in roots:
+        for ra, rb in dict.fromkeys(roots):  # a repeated pair merges nothing
             ra, rb = find(ra), find(rb)  # short walks: they were roots as the level started
             if ra == rb:
                 continue
@@ -363,7 +368,7 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
             merges.append((ra, rb, size[ra], size[rb]))
             parent[rb] = ra
             size[ra] += size[rb]
-        yield values[k], closers, merges
+        yield values[k], closers, merges, roots
 
 
 def _fill_intervals(n: int, merges: list, fill: int) -> np.ndarray:
@@ -391,7 +396,7 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     """
     _require_connected(g)
     weights, merges = [Fraction(0)], []  # weight of each rank; merges with their rank
-    for w, _, level in _merge_levels(len(g.vertices), g._level_edges, g._levels):
+    for w, _, level, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
         if level and w:
             weights.append(w)
         merges += [(*m, len(weights) - 1) for m in level]
@@ -558,7 +563,7 @@ def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
         return label, Dendrogram(Fraction(0), (), label)
 
     root = 0
-    for w, _, merges in levels:
+    for w, _, merges, _ in levels:
         if not w:
             for root, rb, _, _ in merges:
                 first[root] = min(first[root], first[rb])

@@ -179,9 +179,10 @@ def named_twice_max_analysis(
 ) -> tuple[frozenset, dict[tuple[str, str], Fraction]]:
     """``_twice_max_analysis`` by vertex name and weight: (the twice-max
     pairs, the least unique-maximum weight of each other nonadjacent pair)."""
-    pairs, levels = _twice_max_analysis(g)
+    p, q, level = _twice_max_analysis(g)
     v = g.vertices
+    pairs = list(zip(p.tolist(), q.tolist(), level.tolist()))
     return (
-        frozenset((v[p], v[q]) for p, q in pairs),
-        {(v[p], v[q]): g._levels[k] for (p, q), k in levels.items()},
+        frozenset((v[a], v[b]) for a, b, k in pairs if k < 0),
+        {(v[a], v[b]): g._levels[k] for a, b, k in pairs if k >= 0},
     )

@@ -1476,3 +1476,180 @@ def test_no_library_path_builds_entries():
         ug.emit_matrix(long)
     made.append(long)
     assert [m.vertices for m in made if "entries" in m.__dict__] == []
+
+
+# The twice-max analysis walks the merge levels and builds a block forest
+# only at levels with a closer, against the body that built one per level.
+
+
+def forest_per_level_analysis(g):
+    """(the twice-max index pairs in row-major order, the level of each
+    other nonadjacent pair), one block-vertex forest per weight level."""
+    metrics._require_connected(g)
+
+    n = len(g.vertices)
+    levels = [[] for _ in g._levels]
+    for i, j, k in g._level_edges:
+        levels[k].append((i, j))
+    joined = {(i, j) for i, j, _ in g._level_edges}
+    unresolved = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in joined
+    ]
+    values = {}
+    adj = [[] for _ in range(n)]  # the lighter graph
+    for w, batch in enumerate(levels):
+        if not unresolved:
+            break
+        comp, parent, order, key = ug.extension._block_forest(adj)
+        hot = [False] * len(parent)
+        top = list(range(len(parent)))
+
+        def find(a):
+            while top[a] != a:
+                top[a] = top[top[a]]
+                a = top[a]
+            return a
+
+        cross = set()
+        for x, y in batch:
+            if comp[x] != comp[y]:
+                cross |= {(comp[x], comp[y]), (comp[y], comp[x])}
+                continue
+            a, b = find(x), find(y)
+            while a != b:
+                if key[a] < key[b]:
+                    a, b = b, a
+                hot[a], top[a] = True, parent[a]
+                a = find(a)
+            hot[a] = True
+        piece = list(range(n))
+        for v in order:
+            if parent[v] >= 0 and not hot[parent[v]]:
+                piece[v] = piece[parent[parent[v]]]
+
+        still = []
+        for p, q in unresolved:
+            if piece[p] != piece[q] and (comp[p] == comp[q] or (comp[p], comp[q]) in cross):
+                values[p, q] = w
+            else:
+                still.append((p, q))
+        unresolved = still
+        for x, y in batch:
+            adj[x].append(y)
+            adj[y].append(x)
+
+    return unresolved, values
+
+
+def merge_walk_analysis(g):
+    """``_twice_max_analysis`` in the reference's form."""
+    p, q, level = ug.extension._twice_max_analysis(g)
+    pairs = list(zip(p.tolist(), q.tolist(), level.tolist()))
+    return [(a, b) for a, b, k in pairs if k < 0], {(a, b): k for a, b, k in pairs if k >= 0}
+
+
+def planted_multipartite(rng, n_max):
+    """Complete multipartite graph on at most ``n_max`` vertices, weighted by
+    a random ultrametric sent through a nondecreasing map with 0 at 0, so
+    the weighting extends and ties and zero weights are common."""
+    sizes = []
+    while len(sizes) < 2 or (sum(sizes) < n_max and rng.random() < 0.7):
+        sizes.append(rng.randint(1, max(1, min(8, n_max // 3))))
+    while sum(sizes) > n_max:
+        sizes.pop()
+    names = [f"v{i}" for i in range(sum(sizes))]
+    part = dict(zip(rng.sample(names, len(names)), [k for k, s in enumerate(sizes) for _ in range(s)]))
+    um = random_ultrametric(rng, names)
+    cut, step = Fraction(rng.randint(0, 3), 4), Fraction(1, rng.choice([1, 2, 4]))
+
+    def squash(w):
+        return max(Fraction(0), (w - cut) // step * step)
+
+    edges = [(u, v, squash(um.entry(u, v))) for u, v in combinations(names, 2) if part[u] != part[v]]
+    return ug.build_graph(names, edges)
+
+
+def random_sparse(rng, n_max, connected=True):
+    """Random graph on 1 to ``n_max`` vertices with weights from a small
+    pool that may hold 0, so closers come at several levels."""
+    n = rng.randint(1, n_max)
+    names = [f"v{i}" for i in range(n)]
+    pairs = {(rng.randrange(i), i) for i in range(1, n)} if connected else set()
+    density = rng.choice([0.05, 0.15, 0.4])
+    pairs |= {(i, j) for i, j in combinations(range(n), 2) if rng.random() < density}
+    pool = rng.sample([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)], rng.randint(1, 5))
+    return ug.build_graph(names, [(names[i], names[j], rng.choice(pool)) for i, j in sorted(pairs)])
+
+
+@st.composite
+def analysis_graphs(draw, max_n=30):
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    kind = draw(st.sampled_from(("sparse", "multipartite", "disconnected", "planted")))
+    if kind == "multipartite":
+        return planted_multipartite(rng, max_n)
+    if kind == "disconnected":
+        return random_sparse(rng, max_n, connected=False)
+    g = random_sparse(rng, max_n)
+    if kind == "planted":  # the same edges under an extendable weighting
+        um = random_ultrametric(rng, list(g.vertices))
+        g = ug.build_graph(g.vertices, [(u, v, um.entry(u, v)) for u, v, _ in g.weighted_edges()])
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(analysis_graphs())
+def test_twice_max_analysis_matches_the_forest_per_level_body(g):
+    # The unresolved list in order, the pair -> level map, and the
+    # DisconnectedError with its message.
+    assert outcome(merge_walk_analysis, g) == outcome(forest_per_level_analysis, g)
+
+
+def reference_least_ranks(g):
+    """The least extension's rank array as the per-pair loop filled it."""
+    _, values = forest_per_level_analysis(g)  # twice-max pairs stay at 0
+    table, rank = graph._ranked((Fraction(0), *g._levels))
+    ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
+    for i, j, k in [*g._level_edges, *((p, q, k) for (p, q), k in values.items())]:
+        ranks[i, j] = ranks[j, i] = rank[k + 1]
+    return table, ranks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_least_extension_fills_what_the_per_pair_loop_filled(seed):
+    g = planted_multipartite(random.Random(seed), 60)
+    got = ug.least_extension(g)
+    table, ranks = reference_least_ranks(g)
+    assert_dense(got)
+    assert got._values == table
+    assert np.array_equal(got.rank_array(), ranks)
+
+
+def closer_weights(g):
+    """The weights at which an edge closes a cycle of strictly lighter edges."""
+    found = []
+    for w in sorted({w for _, _, w in g.weighted_edges()}):
+        comps = ug.connected_components(ug.strict_threshold_subgraph(g, w))
+        block = {v: k for k, vs in enumerate(comps.blocks) for v in vs}
+        if any(block[u] == block[v] for u, v, x in g.weighted_edges() if x == w):
+            found.append(w)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_graphs().filter(lambda g: len(ug.connected_components(g)) == 1))
+def test_block_forests_are_built_only_at_levels_with_a_closer(g):
+    with mock.patch.object(ug.extension, "_block_forest", wraps=ug.extension._block_forest) as built:
+        pairs, values = named_twice_max_analysis(g)
+        if not ug.is_pseudoultrametrizable(g).pseudoultrametrizable:
+            # A closer level is reached while some pair is still unresolved.
+            assert built.call_count == sum(
+                1 for w in closer_weights(g) if pairs or any(v >= w for v in values.values())
+            )
+            return
+        assert not closer_weights(g) and built.call_count == 0
+        assert ug.twice_max_pairs(g) == pairs
+        assert ug.is_unique_extension(g) == (pairs <= ug.well_chained_pairs(g))
+        if len(ug.multipartite_parts(g) or ()) >= 2:
+            ug.least_extension(g)
+        assert built.call_count == 0
