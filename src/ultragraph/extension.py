@@ -19,7 +19,9 @@ every pair. At a level with no closer no block is marked, and a pair is
 hit iff one edge of the level joins its two components directly. Only a
 level with a closer, which no extendable weighting has, builds the forest
 of H: it marks the blocks on each closer's x-y path, and a pair in one
-component is hit iff its forest path meets a marked block.
+component is hit iff its forest path meets a marked block. The least
+extension and the uniqueness test need extendability, so their walk
+raises at its first closer instead.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
 from .graph import (
     Cycle,
     Vertex,
+    Weight,
     WeightedGraph,
     _ranked,
     build_graph,
@@ -54,6 +57,7 @@ from .metrics import (
     _from_values,
     _merge_levels,
     _require_connected,
+    _settle,
     subdominant_matrix,
 )
 from .structure import find_multipartite_obstruction, multipartite_parts
@@ -107,11 +111,15 @@ def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     """
     for w, closers, _, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
         if closers:
-            u, v = g.vertices[closers[0][0]], g.vertices[closers[0][1]]
-            detour = _bfs_path(strict_threshold_subgraph(g, w), u, v)
-            assert detour is not None
-            return ExtendabilityReport(False, Cycle(tuple(detour)))
+            return ExtendabilityReport(False, _closed_cycle(g, w, closers[0]))
     return ExtendabilityReport(True, None)
+
+
+def _closed_cycle(g: WeightedGraph, w: Weight, closer: tuple[int, int, int]) -> Cycle:
+    """The cycle an index edge of weight ``w`` closes with a path of strictly lighter edges."""
+    detour = _bfs_path(strict_threshold_subgraph(g, w), g.vertices[closer[0]], g.vertices[closer[1]])
+    assert detour is not None
+    return Cycle(tuple(detour))
 
 
 def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
@@ -210,18 +218,19 @@ def _columns(rows: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), np.intp, width * len(rows)).reshape(-1, width).T
 
 
-def _twice_max_analysis(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _twice_max_analysis(
+    g: WeightedGraph, require_extendable: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the nonadjacent index pairs by unique-maximum-path existence.
 
     Returns the pairs ``(p, q)``, ``p < q``, in row-major order as two index
     arrays, and for each the weight level of the least unique-max path's
     dominant edge, or -1 where every connecting path has two maximal edges.
-    Walks the merge levels (see the module docstring).
+    Walks the merge levels (see the module docstring) until every pair is
+    resolved; with ``require_extendable`` it walks them all and raises
+    NotExtendableError at the first closer, as is_pseudoultrametrizable finds it.
     """
     n = len(g.vertices)
-    steps = list(_merge_levels(n, g._level_edges, range(len(g._levels))))
-    if sum(len(merges) for _, _, merges, _ in steps) < n - 1:
-        _require_connected(g)  # raises, naming two components
     i, j, _ = _columns(g._level_edges, 3)
     joined = np.tri(n, dtype=bool)
     joined[i, j] = True
@@ -231,9 +240,15 @@ def _twice_max_analysis(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.nd
     label = np.arange(n)  # each vertex's root in the lighter graph
     to = np.arange(n)  # each root's root once the level's merges are done
     cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
-    for k, closers, merges, roots in steps:
-        if not len(live):
+    merged = 0
+    for k, closers, merges, roots in _merge_levels(n, g._level_edges, range(len(g._levels))):
+        if closers and require_extendable:
+            raise NotExtendableError(_closed_cycle(g, g._levels[k], closers[0]))
+        if not len(live):  # so connected: a pair of two components stays live
+            if require_extendable:
+                continue
             break
+        merged += len(merges)
         lp, lq = label[p[live]], label[q[live]]
         ra, rb = _columns(roots, 2)
         cross[ra, rb] = cross[rb, ra] = True
@@ -245,9 +260,10 @@ def _twice_max_analysis(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.nd
             hit[same] = (piece[p[live]] != piece[q[live]])[same]
         level[live[hit]] = k
         live = live[~hit]
-        for a, b, _, _ in reversed(merges):  # a later merge settled a
-            to[b] = to[a]
+        _settle(to, merges)
         label = to[label]
+    if len(live) and merged < n - 1:
+        _require_connected(g)  # raises, naming two components
     return p, q, level
 
 
@@ -258,6 +274,15 @@ def twice_max_pairs(g: WeightedGraph) -> PairSet:
     return frozenset((v[a], v[b]) for a, b in zip(p[twice].tolist(), q[twice].tolist()))
 
 
+def _zero_classes(g: WeightedGraph) -> np.ndarray:
+    """Each vertex's class in the subgraph of zero-weight edges, as the class's last root."""
+    zero = [e for e in g._level_edges if e[2] == 0] if g._levels[:1] == (0,) else []
+    home = np.arange(len(g.vertices))
+    for _, _, merges, _ in _merge_levels(len(g.vertices), zero, g._levels):  # one level
+        _settle(home, merges)
+    return home
+
+
 def well_chained_pairs(g: WeightedGraph) -> PairSet:
     """Nonadjacent pairs at subdominant distance zero.
 
@@ -266,12 +291,8 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
     positive bound must avoid all positive edges.
     """
     _require_connected(g)
-    zero = [e for e in g._level_edges if e[2] == 0] if g._levels[:1] == (0,) else []
+    home = _zero_classes(g)
     joined = {(i, j) for i, j, _ in g._level_edges}
-    home = np.arange(len(g.vertices))  # the last root of each vertex's zero class
-    for _, _, merges, _ in _merge_levels(len(g.vertices), zero, g._levels):  # one level
-        for ra, rb, _, _ in reversed(merges):  # a later merge settled ra
-            home[rb] = home[ra]
     pairs = set(map(tuple, np.argwhere(np.triu(home[:, None] == home, 1)).tolist()))
     return frozenset((g.vertices[p], g.vertices[q]) for p, q in pairs - joined)
 
@@ -292,11 +313,7 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
         raise NotCompleteMultipartiteError(
             None, "graph is edgeless (one part); need at least two parts"
         )
-    report = is_pseudoultrametrizable(g)
-    if not report.pseudoultrametrizable:
-        raise NotExtendableError(report.witness)
-
-    p, q, level = _twice_max_analysis(g)
+    p, q, level = _twice_max_analysis(g, require_extendable=True)
     table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
     rank = np.array(rank, dtype=np.int32)  # so twice-max pairs (-1) stay at 0
     i, j, k = _columns(g._level_edges, 3)
@@ -319,10 +336,9 @@ def is_unique_extension(g: WeightedGraph) -> bool:
     already at subdominant distance zero: any other pair can trade its
     value between the greatest extension and a smaller one.
     """
-    report = is_pseudoultrametrizable(g)
-    if not report.pseudoultrametrizable:
-        raise NotExtendableError(report.witness)
-    return twice_max_pairs(g) <= well_chained_pairs(g)
+    p, q, level = _twice_max_analysis(g, require_extendable=True)
+    home, twice = _zero_classes(g), level < 0  # every twice-max pair well chained?
+    return bool((home[p[twice]] == home[q[twice]]).all())
 
 
 def augment(

@@ -352,14 +352,10 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
 
     for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
         batch = list(batch)
-        if 2 * len(batch) > n:  # a dense level: find each vertex's root once
-            root = list(map(find, range(n)))
-            roots = [(root[i], root[j]) for i, j, _ in batch]
-        else:
-            roots = [(find(i), find(j)) for i, j, _ in batch]
+        roots = [(find(i), find(j)) for i, j, _ in batch]
         closers = [e for e, (ra, rb) in zip(batch, roots) if ra == rb]
         merges = []
-        for ra, rb in dict.fromkeys(roots):  # a repeated pair merges nothing
+        for ra, rb in roots:
             ra, rb = find(ra), find(rb)  # short walks: they were roots as the level started
             if ra == rb:
                 continue
@@ -369,6 +365,13 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
             parent[rb] = ra
             size[ra] += size[rb]
         yield values[k], closers, merges, roots
+
+
+def _settle(root: np.ndarray, merges: list) -> None:
+    """Point each root that a level's ``merges`` fused away at its cluster's
+    root after them; ``root`` maps the level's other starting roots to themselves."""
+    for ra, rb, _, _ in reversed(merges):  # a later merge settled ra
+        root[rb] = root[ra]
 
 
 def _fill_intervals(n: int, merges: list, fill: int) -> np.ndarray:

@@ -1653,3 +1653,36 @@ def test_block_forests_are_built_only_at_levels_with_a_closer(g):
         if len(ug.multipartite_parts(g) or ()) >= 2:
             ug.least_extension(g)
         assert built.call_count == 0
+
+
+def composed_unique(g):
+    """``is_unique_extension`` as an extendability pass, then the twice-max
+    pairs against the well-chained ones."""
+    rep = ug.is_pseudoultrametrizable(g)
+    if not rep.pseudoultrametrizable:
+        raise ug.NotExtendableError(rep.witness)
+    return ug.twice_max_pairs(g) <= ug.well_chained_pairs(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_graphs(), st.integers(0, 10**9))
+def test_least_and_unique_extension_decide_extendability_in_their_own_walk(g, seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:  # the same edges under small weights, which often close a cycle
+        g = ug.build_graph(g.vertices, [(u, v, rng.randint(0, 3)) for u, v, _ in g.weighted_edges()])
+    rep, unique = ug.is_pseudoultrametrizable(g), outcome(composed_unique, g)
+    patch = mock.patch.object
+    with patch(ug.extension, "_merge_levels", wraps=metrics._merge_levels) as passes, \
+            patch(ug.extension, "_block_forest", wraps=ug.extension._block_forest) as built:
+        # The same verdict, and the same witness or DisconnectedError in the same order.
+        assert outcome(ug.is_unique_extension, g) == unique
+        # One walk over all edges, then a pass over the zero-weight edges for a verdict.
+        assert passes.call_count == (2 if isinstance(unique, bool) else 1)
+        if len(ug.multipartite_parts(g) or ()) >= 2:
+            least = outcome(ug.least_extension, g)
+            assert passes.call_count == (3 if isinstance(unique, bool) else 2)
+            if rep.pseudoultrametrizable:
+                assert not isinstance(least, tuple)
+            else:
+                assert least == (ug.NotExtendableError, str(ug.NotExtendableError(rep.witness)))
+        assert built.call_count == 0
