@@ -45,6 +45,7 @@ from .graph import (
     Vertex,
     Weight,
     WeightedGraph,
+    _adjacency_lists,
     _ranked,
     build_graph,
     connected_components,
@@ -183,11 +184,7 @@ def _pieces(n: int, edges, closers: list[tuple[int, int, int]]) -> np.ndarray:
     """Each vertex's piece of the index graph ``edges`` once the blocks on
     every closer's forest path are cut: two vertices of one component lie
     in different pieces iff their forest path meets a marked block."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for x, y, _ in edges:
-        adj[x].append(y)
-        adj[y].append(x)
-    _, parent, order, key = _block_forest(adj)
+    _, parent, order, key = _block_forest(_adjacency_lists(n, edges))
     # Mark each closer's forest path, jumping over the nodes earlier paths marked.
     hot = [False] * len(parent)
     top = list(range(len(parent)))

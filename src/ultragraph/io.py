@@ -7,8 +7,11 @@ each distinct literal or matrix value is parsed or formatted once. Those
 plain forms are read with one ASCII regex and ``Fraction(int, int)``,
 every other literal by ``Fraction``. A matrix is written a row at a
 time: each distinct value's text, JSON-encoded once, picked by rank and
-joined. An edge list is read in one pass into index form;
-``graph._ranked`` orders values.
+joined. An edge list is read in bulk into index form: all lines are
+split, vertices numbered by first appearance, self-loops and duplicates
+found on index arrays, and each distinct literal read once; a line loop
+runs only when a bulk check fails, to name the first fault in line
+order. ``graph._ranked`` orders values.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -19,6 +22,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
+from operator import getitem
+from typing import NoReturn
 
 import numpy as np
 
@@ -37,6 +43,9 @@ from .metrics import Dendrogram, DistanceMatrix, _from_cells
 # the digits Fraction must build, well below int's 4,300-digit str limit.
 _LITERAL_LIMIT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+# The vertex names of an edge-list row, by its token count: a declared
+# name, or both endpoints.
+_NAMED = {2: slice(1, 2), 3: slice(0, 2)}
 # The forms format_weight writes, read without Fraction's grammar: an
 # integer, a ratio or a decimal, in ASCII digits.
 _PLAIN = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
@@ -128,10 +137,47 @@ def parse_edge_list(text: str) -> WeightedGraph:
     Blank lines and `#` comments are skipped; `vertex <name>` declares a
     vertex without edges (re-declaring is harmless). Vertex order is
     first-appearance order. The first negative weight in line order is
-    reported only once every line has parsed.
+    reported only once every line has parsed. Every check runs on all
+    rows at once; when one fails, ``_first_fault`` names the fault.
     """
+    rows = [t for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"]
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    heads = [t[0] for t in rows if len(t) == 2]
+    if not rows or ((width != 2) & (width != 3)).any() or heads.count("vertex") < len(heads):
+        _first_fault(text)
+    names = list(chain.from_iterable(map(getitem, rows, map(_NAMED.__getitem__, width.tolist()))))
+    index = dict.fromkeys(names)
+    index = dict(zip(index, range(len(index))))
+    ends = np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+    u, v = ends[np.repeat(width == 3, width - 1)].reshape(-1, 2).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * len(index) + hi
+    key = key[np.argsort(key, kind="stable")]  # stable, as in _assemble
+    literals = [t[2] for t in rows if len(t) == 3]
+    distinct = dict.fromkeys(literals)  # each literal once
+    try:
+        values = [_literal_value(x) for x in distinct]
+    except ParseError:
+        values = None
+    if (
+        values is None
+        or any(w.numerator < 0 for w in values)
+        or (lo == hi).any()
+        or (key[1:] == key[:-1]).any()
+    ):
+        _first_fault(text)
+    code = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(code.__getitem__, literals), np.intp, len(literals))
+    del rows, names, literals  # no token outlives the read but the names
+    return _assemble(tuple(index), index, lo, hi, values, codes)
+
+
+def _first_fault(text: str) -> NoReturn:
+    """Raise the error of the first fault of an edge list in line order:
+    the line loop, for error reporting only, run once a check of
+    ``parse_edge_list`` has failed."""
     index: dict[Vertex, int] = {}
-    weights: dict[tuple[int, int], Weight] = {}
+    seen: set[tuple[int, int]] = set()
     literals: dict[str, Fraction] = {}
 
     for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
@@ -148,19 +194,18 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if i == j:
             raise SelfLoopError(f"line {lineno}: edge {{{u!r},{v!r}}} is a self-loop")
         key = (i, j) if i < j else (j, i)
-        if key in weights:
+        if key in seen:
             raise DuplicateEdgeError(f"line {lineno}: edge {{{u!r},{v!r}}} given twice")
-        w = literals.get(wtext)
-        if w is None:
-            w = literals[wtext] = _literal_value(wtext, lineno)
-        weights[key] = w
+        seen.add(key)
+        if wtext not in literals:
+            literals[wtext] = _literal_value(wtext, lineno)
 
     if not index:
         raise ParseError("no vertices declared")
     for w in literals.values():  # ordered by first use, as the edges by line
         if w.numerator < 0:
             to_weight(w)  # NegativeWeightError naming the first negative edge's weight
-    return _assemble(tuple(index), index, weights)
+    raise AssertionError("a bulk check failed on an edge list without a fault")
 
 
 def emit_edge_list(g: WeightedGraph) -> str:

@@ -589,8 +589,10 @@ def subdominant_dendrogram(g: WeightedGraph) -> Dendrogram:
     matrix; leaves are the zero-distance classes. Raises DisconnectedError
     like ``subdominant_matrix``.
     """
-    _require_connected(g)
-    return _merge_tree(g.vertices, _merge_levels(len(g.vertices), g._level_edges, g._levels))
+    levels = list(_merge_levels(len(g.vertices), g._level_edges, g._levels))
+    if sum(len(merges) for _, _, merges, _ in levels) < len(g.vertices) - 1:
+        _require_connected(g)  # raises, naming two components
+    return _merge_tree(g.vertices, levels)
 
 
 def dendrogram(m: DistanceMatrix) -> Dendrogram:

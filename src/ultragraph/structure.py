@@ -2,7 +2,7 @@
 over: forests, trees, complete multipartite graphs, and stars.
 
 Complete-multipartite recognition groups the vertices by neighbourhood
-(the canonical tuples every graph stores): the parts of such a graph
+(the index tuples a graph builds on first read): the parts of such a graph
 are exactly its classes of equal neighbourhoods. The three-vertex
 obstruction scan in ``find_multipartite_obstruction`` is an independent
 second route to the same question and the two are tested against each
@@ -35,9 +35,9 @@ def multipartite_parts(g: WeightedGraph) -> Partition | None:
     members canonically. k = 1 (edgeless graph) is reported too; callers
     needing k >= 2 must check.
     """
-    classes: dict[tuple[Vertex, ...], list[Vertex]] = {}
-    for v in g.vertices:
-        classes.setdefault(g.neighbors(v), []).append(v)
+    classes: dict[tuple[int, ...], list[Vertex]] = {}
+    for v, nbrs in zip(g.vertices, g._neighbours):
+        classes.setdefault(nbrs, []).append(v)
     n = len(g.vertices)
     if any(len(nbrs) + len(c) != n for nbrs, c in classes.items()):
         return None

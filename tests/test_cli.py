@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from ultragraph import cli as cli_module, structure
+from ultragraph import cli as cli_module, parse_edge_list, structure
 from ultragraph.cli import main
 
 TRIANGLE_123 = "a b 1\nb c 2\na c 3\n"
@@ -165,6 +165,30 @@ class TestUnique:
         code, out, err = cli(["unique"], TRIANGLE_123)
         assert code == 2
         assert err.startswith("not-extendable:")
+
+
+class TestNameViews:
+    """Verdicts on a connected extendable graph read its index form only."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"], ["subdominant"], ["subdominant", "--format", "newick"],
+            ["tm"], ["unique"], ["wch"], ["structure"],
+        ],
+    )
+    @pytest.mark.parametrize("text", [ALT_C4, UNIT_C4, "a b 0\nb c 1\nc d 1\na d 1\nvertex e\ne a 2\n"])
+    def test_are_left_unbuilt(self, cli, argv, text):
+        read = []
+
+        def kept(text):
+            read.append(parse_edge_list(text))
+            return read[-1]
+
+        with mock.patch.object(cli_module, "parse_edge_list", kept):
+            code, _, err = cli(argv, text)
+        assert code in (0, 1) and err == ""
+        assert [sorted({"_weights", "_adjacency"} & vars(g).keys()) for g in read] == [[]]
 
 
 class TestStructure:

@@ -102,6 +102,34 @@ class TestBuildGraph:
         assert g._level_edges == ((0, 1, 1), (1, 2, 0))
 
 
+class TestValueObject:
+    def test_equal_graphs_hash_equal(self):
+        g = triangle()
+        h = ug.parse_edge_list("vertex a\nvertex b\na c 3\nb c 2\na b 1/1")
+        assert g == h and hash(g) == hash(h)
+        assert {g: "first", h: "second"} == {g: "second"}
+
+    def test_a_weight_or_the_vertex_order_tells_graphs_apart(self):
+        g = triangle()
+        assert g != ug.build_graph("abc", [("a", "b", 1), ("b", "c", 2), ("a", "c", 4)])
+        assert g != ug.build_graph("bac", [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
+        assert g != ug.build_graph("abc", [("a", "b", 1), ("b", "c", 2)])
+
+    def test_repr_shows_the_vertices_only(self):
+        assert repr(triangle()) == "WeightedGraph(vertices=('a', 'b', 'c'))"
+
+    def test_name_views_are_built_on_first_read(self):
+        g = triangle()
+        assert {"_weights", "_adjacency"}.isdisjoint(vars(g))
+        assert g.edge_count() == 3 and g.vertex_index("c") == 2
+        assert {"_weights", "_adjacency"}.isdisjoint(vars(g))
+        assert g.weight("c", "a") == 3
+        assert "_weights" in vars(g) and "_adjacency" not in vars(g)
+        assert g.neighbors("b") == ("a", "c")
+        assert "_adjacency" in vars(g)
+        assert hash(g) == hash(triangle()) and g == triangle()
+
+
 class TestComponents:
     def test_single_component(self):
         assert ug.is_connected(triangle())

@@ -819,10 +819,10 @@ def test_graph_builders_match_the_per_cell_path(g):
                 assert_same(as_built(m), per_cell(list(g.vertices), m.entries))
 
 
-# The one-pass edge-list reader against build_graph on the same data, on
-# everything WeightedGraph.__eq__ leaves out: edge and neighbour order,
-# the index, and the weight levels. Names include the keyword "vertex"
-# and an inner "#"; every value has several spellings.
+# The bulk edge-list reader against build_graph on the same data, on
+# everything WeightedGraph.__eq__ leaves out: names, neighbour order and
+# the index. Names include the keyword "vertex" and an inner "#"; every
+# value has several spellings.
 
 NAMES = ["a", "b", "vertex", "x#y", "v10", "é", "Z"]
 SPELLINGS = {
@@ -896,6 +896,104 @@ def test_parse_edge_list_matches_build_graph(data, wide):
         for u in g.vertices:  # neighbours in canonical order
             assert list(g.neighbors(u)) == sorted(g.neighbors(u), key=g._index.__getitem__)
         assert_same_graph(ug.parse_edge_list(ug.emit_edge_list(g)), g)
+
+
+def reference_edge_list(text):
+    """The line loop that read edge lists before the bulk pass: the
+    vertices by first appearance and the weight of each index pair."""
+    index, weights, literals = {}, {}, {}
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) == 2 and tokens[0] == "vertex":
+            index.setdefault(tokens[1], len(index))
+            continue
+        if len(tokens) != 3:
+            raise ug.ParseError("expected 'u v weight' or 'vertex name'", line=lineno)
+        u, v, wtext = tokens
+        i = index.setdefault(u, len(index))
+        j = index.setdefault(v, len(index))
+        if i == j:
+            raise ug.SelfLoopError(f"line {lineno}: edge {{{u!r},{v!r}}} is a self-loop")
+        key = (i, j) if i < j else (j, i)
+        if key in weights:
+            raise ug.DuplicateEdgeError(f"line {lineno}: edge {{{u!r},{v!r}}} given twice")
+        w = literals.get(wtext)
+        if w is None:
+            w = literals[wtext] = io._literal_value(wtext, lineno)
+        weights[key] = w
+    if not index:
+        raise ug.ParseError("no vertices declared")
+    for w in literals.values():
+        if w.numerator < 0:
+            ug.to_weight(w)
+    return tuple(index), weights
+
+
+HOSTILE_NAMES = ["a", "b", "c", "d", "vertex", "x#y", "é"]
+HOSTILE_LITERALS = [
+    "1", "0", "-0", "1/2", "0.5", "2", "3/4", "1e-3", "2E+2", "1_0", "٣",  # all good
+    "-1", "-3/4", "x", "1/0", "1/2/3", "1e1001", "1" * 1001, "#",  # all bad
+]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+SPACES = [" ", "\t", "  ", "\xa0", "\u3000", "\x1f"]
+
+
+@st.composite
+def hostile_edge_lists(draw):
+    """Edge-list texts with up to three faults of every kind the reader
+    names (wrong token counts, self-loops, duplicates either way round,
+    bad, huge and negative literals) among edges, comments and
+    declarations, with Unicode line breaks and spaces."""
+    name = st.sampled_from(HOSTILE_NAMES)
+    good = st.sampled_from(HOSTILE_LITERALS[:11])
+    ends = st.lists(name, min_size=2, max_size=2, unique=True)
+    sound = st.one_of(
+        st.builds(lambda uv, w: (*uv, w), ends, good),
+        st.tuples(st.just("vertex"), name),
+        st.sampled_from([(), ("#",), ("#", "a", "b", "1"), ("#x", "y", "1")]),
+    )
+    fault = st.one_of(
+        st.tuples(name, name, st.sampled_from(HOSTILE_LITERALS)),
+        st.builds(lambda uv, w: (*uv, w), ends, st.sampled_from(["-1", "-3/4", "-0.5"])),
+        st.tuples(st.just("vertex")),
+        st.tuples(name, name),  # a declaration when the first is "vertex"
+        st.tuples(st.just("vertex"), name, name),  # an edge from "vertex"
+        st.tuples(name, name, good, name),
+    )
+    lines = draw(st.lists(sound, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(fault))
+    text = []
+    for tokens in lines:
+        lead = draw(st.sampled_from(["", " ", "\u3000"]))
+        text += [lead, draw(st.sampled_from(SPACES)).join(tokens), draw(st.sampled_from(BREAKS))]
+    return "".join(text[:-1] if draw(st.booleans()) else text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_edge_lists())
+def test_bulk_edge_list_reader_matches_the_line_loop(text):
+    try:
+        vertices, weights = reference_edge_list(text)
+    except ug.UltragraphError as exc:
+        with pytest.raises(type(exc)) as info:
+            ug.parse_edge_list(text)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "line", None) == getattr(exc, "line", None)
+        return
+    g = ug.parse_edge_list(text)
+    levels = tuple(sorted(set(weights.values())))
+    pairs = sorted(weights)
+    assert g.vertices == vertices
+    assert g._index == {v: k for k, v in enumerate(vertices)}
+    assert g._levels == levels
+    assert g._level_edges == tuple((i, j, levels.index(weights[i, j])) for i, j in pairs)
+    assert list(g.weighted_edges()) == [(vertices[i], vertices[j], weights[i, j]) for i, j in pairs]
+    for k, v in enumerate(vertices):
+        near = sorted({j for i, j in pairs if i == k} | {i for i, j in pairs if j == k})
+        assert g.neighbors(v) == tuple(vertices[x] for x in near)
 
 
 # strict_threshold_subgraph and well_chained_pairs read the levels; the
@@ -1602,6 +1700,18 @@ def test_twice_max_analysis_matches_the_forest_per_level_body(g):
     # The unresolved list in order, the pair -> level map, and the
     # DisconnectedError with its message.
     assert outcome(merge_walk_analysis, g) == outcome(forest_per_level_analysis, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_graphs())
+def test_the_subdominant_tree_takes_connectivity_from_its_merges(g):
+    comps = ug.connected_components(g).blocks
+    apart = len(comps) > 1 and (ug.DisconnectedError, str(ug.DisconnectedError(comps[0][0], comps[1][0])))
+    with mock.patch.object(metrics, "connected_components", wraps=graph.connected_components) as bfs:
+        got = outcome(ug.subdominant_dendrogram, g)
+    assert got == apart if apart else isinstance(got, ug.Dendrogram)
+    # A search only to name two components of a disconnected graph.
+    assert bfs.call_count == (1 if apart else 0)
 
 
 def reference_least_ranks(g):
