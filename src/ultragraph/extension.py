@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -210,11 +210,6 @@ def _pieces(n: int, edges, closers: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(piece)
 
 
-def _columns(rows: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
-    """The columns of equal-width index tuples, as the rows of one array."""
-    return np.fromiter(chain.from_iterable(rows), np.intp, width * len(rows)).reshape(-1, width).T
-
-
 def _twice_max_analysis(
     g: WeightedGraph, require_extendable: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,7 +223,7 @@ def _twice_max_analysis(
     NotExtendableError at the first closer, as is_pseudoultrametrizable finds it.
     """
     n = len(g.vertices)
-    i, j, _ = _columns(g._level_edges, 3)
+    i, j, _ = g._edge_columns
     joined = np.tri(n, dtype=bool)
     joined[i, j] = True
     p, q = np.nonzero(~joined)
@@ -247,7 +242,7 @@ def _twice_max_analysis(
             break
         merged += len(merges)
         lp, lq = label[p[live]], label[q[live]]
-        ra, rb = _columns(roots, 2)
+        ra, rb = np.fromiter(chain.from_iterable(roots), np.intp).reshape(-1, 2).T
         cross[ra, rb] = cross[rb, ra] = True
         hit = cross[lp, lq]
         cross[ra, rb] = cross[rb, ra] = False
@@ -313,7 +308,7 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
     p, q, level = _twice_max_analysis(g, require_extendable=True)
     table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
     rank = np.array(rank, dtype=np.int32)  # so twice-max pairs (-1) stay at 0
-    i, j, k = _columns(g._level_edges, 3)
+    i, j, k = g._edge_columns
     ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
     ranks[i, j] = ranks[j, i] = rank[k + 1]
     ranks[p, q] = ranks[q, p] = rank[level + 1]

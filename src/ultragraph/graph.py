@@ -22,6 +22,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -123,6 +124,14 @@ class WeightedGraph:
         """Each edge's weight by its canonical name pair, in canonical order."""
         v, w = self.vertices, self._levels
         return {(v[i], v[j]): w[k] for i, j, k in self._level_edges}
+
+    @functools.cached_property
+    def _edge_columns(self) -> np.ndarray:
+        """The edges as the three rows ``i``, ``j``, ``level`` of one read-only index array."""
+        flat = chain.from_iterable(self._level_edges)
+        columns = np.fromiter(flat, np.intp, 3 * len(self._level_edges)).reshape(-1, 3).T
+        columns.flags.writeable = False
+        return columns
 
     @functools.cached_property
     def _neighbours(self) -> tuple[tuple[int, ...], ...]:

@@ -14,14 +14,14 @@ construction: ``_CHECKS`` lists each class's checks for ``validate`` and
 strong triangle is certified in O(n²) by a Prim tree, scanned only for a
 witness. ``_merge_levels`` is the one single-linkage core; every cluster
 is an interval of one leaf order, so a builder fills two slices per merge
-(``_fill_intervals``). Dijkstra, the plain triangle, ``compare`` and the
-exponent run on the values times the lcm of their denominators, exact
-integers, unless that lcm is wider than ``graph._SCALE_BITS``.
+(``_fill_intervals``). Floyd–Warshall, the plain triangle, ``compare`` and
+the exponent run on the values times the lcm of their denominators, exact
+integers in int32, int64 or Python ints, whichever twice the largest fits
+first (``_as_array``), unless that lcm is wider than ``graph._SCALE_BITS``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -147,10 +147,10 @@ PASS = Verdict(True)
 
 
 def _as_array(values: list, scale: int | None) -> np.ndarray:
-    """int64 when the stand-ins are integers and twice the largest fits (a
-    sum of two cannot wrap), else an object array of them."""
-    narrow = scale is not None and 2 * max(values) < 2**63
-    return np.array(values, dtype=np.int64 if narrow else object)
+    """The stand-ins in int32, or else int64, when they are integers and
+    twice the largest fits (a sum of two cannot wrap), else an object array."""
+    top = 2 * max(values) if scale is not None else math.inf  # Fractions: no fixed width
+    return np.array(values, dtype=np.int32 if top < 2**31 else np.int64 if top < 2**63 else object)
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -341,29 +341,26 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
     ``(ra, rb, sa, sb)``, the roots and sizes of the two clusters it fused,
     survivor first. Each root leads its cluster in ``_fill_intervals``' order.
     ``roots`` holds each edge's endpoint roots as the level started.
+    Quick-find: ``label`` holds each vertex's root and each root its members,
+    so a merge relabels the smaller cluster, O(n log n) relabels in all.
     """
-    parent, size = list(range(n)), [1] * n
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    label, members = list(range(n)), [[v] for v in range(n)]
     for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
         batch = list(batch)
-        roots = [(find(i), find(j)) for i, j, _ in batch]
+        roots = [(label[i], label[j]) for i, j, _ in batch]
         closers = [e for e, (ra, rb) in zip(batch, roots) if ra == rb]
         merges = []
-        for ra, rb in roots:
-            ra, rb = find(ra), find(rb)  # short walks: they were roots as the level started
+        for i, j, _ in batch:
+            ra, rb = label[i], label[j]
             if ra == rb:
                 continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            merges.append((ra, rb, size[ra], size[rb]))
-            parent[rb] = ra
-            size[ra] += size[rb]
+            ma, mb = members[ra], members[rb]
+            if len(ma) < len(mb):
+                ra, rb, ma, mb = rb, ra, mb, ma
+            merges.append((ra, rb, len(ma), len(mb)))
+            for v in mb:
+                label[v] = ra
+            ma += mb
         yield values[k], closers, merges, roots
 
 
@@ -409,40 +406,29 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
 def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:
     """Greatest pseudometric lying edgewise below the weighting.
 
-    Min-sum path distance, computed exactly by Dijkstra from every
-    source (weights are nonnegative by construction) on the weights'
-    exact stand-ins from ``_rescale``.
+    Min-sum path distance, computed exactly by Floyd–Warshall, one numpy
+    pass per pivot, on the weights' exact stand-ins from ``_rescale``.
     """
     _require_connected(g)
-    verts = g.vertices
-    n = len(verts)
-    # Exact stand-ins for the weight levels (integers on a common
-    # denominator unless that is too wide) keep Dijkstra exact.
+    n = len(g.vertices)
+    # No shortest path has more than n - 1 edges, so ``far`` stands for no
+    # path yet; ``_as_array`` picks a dtype in which twice it fits.
     lengths, scale = _rescale(g._levels)
-    adj: list[list] = [[] for _ in verts]
-    for i, j, k in g._level_edges:
-        adj[i].append((j, lengths[k]))
-        adj[j].append((i, lengths[k]))
-    zero = Fraction(0) if scale is None else 0
-    flat: list = []
-    for s in range(n):
-        dist = [math.inf] * n
-        dist[s] = zero
-        heap = [(zero, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for nb, k in adj[u]:
-                if d + k < dist[nb]:
-                    dist[nb] = d + k
-                    heapq.heappush(heap, (d + k, nb))
-        flat += dist
-    stand_ins, ranks = np.unique(_as_array(flat, scale), return_inverse=True)
+    far = (n - 1) * max(lengths, default=0) + 1
+    stand = _as_array([*lengths, far], scale)
+    d = np.full((n, n), stand[-1], dtype=stand.dtype)
+    i, j, k = g._edge_columns
+    d[i, j] = d[j, i] = stand[k]
+    np.fill_diagonal(d, Fraction(0) if scale is None else 0)
+    buf = np.empty_like(d)
+    for z in range(n):
+        np.add.outer(d[:, z], d[z], out=buf)
+        np.minimum(d, buf, out=d)
+    stand_ins, ranks = np.unique(d, return_inverse=True)
     values = stand_ins.tolist()
     if scale is not None:  # back to Fractions, one per distinct distance
         values = [Fraction(x, scale) for x in values]
-    return _from_values(verts, values, ranks.astype(np.int32).reshape(n, n))
+    return _from_values(g.vertices, values, ranks.astype(np.int32).reshape(n, n))
 
 
 def compare(m1: DistanceMatrix, m2: DistanceMatrix) -> PartialOrderResult:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ultragraph as ug
@@ -128,6 +129,17 @@ class TestValueObject:
         assert g.neighbors("b") == ("a", "c")
         assert "_adjacency" in vars(g)
         assert hash(g) == hash(triangle()) and g == triangle()
+
+    def test_index_columns_are_built_once_and_left_out_of_the_value(self):
+        g = triangle()
+        assert "_edge_columns" not in vars(g)
+        columns = g._edge_columns
+        assert columns.tolist() == [list(c) for c in zip(*g._level_edges)]
+        assert g._edge_columns is columns and not columns.flags.writeable
+        assert hash(g) == hash(triangle()) and g == triangle()
+        assert repr(g) == "WeightedGraph(vertices=('a', 'b', 'c'))"
+        empty = ug.build_graph("ab")._edge_columns
+        assert empty.shape == (3, 0) and empty.dtype == np.intp
 
 
 class TestComponents:

@@ -406,6 +406,11 @@ def square_matrices(draw, max_n=6):
 
 
 def test_exact_array_switches_dtype_where_a_sum_could_wrap():
+    assert exact_array([[Fraction(2**30 - 1)]]).dtype == np.int32
+    assert exact_array([[Fraction(2**30)]]).dtype == np.int64
+    # the stand-ins 1 and 2**30 - 1, then 1 and 2**30
+    assert exact_array([[Fraction(1, 2), Fraction(2**30 - 1, 2)]]).dtype == np.int32
+    assert exact_array([[Fraction(1, 2), Fraction(2**29)]]).dtype == np.int64
     assert exact_array([[Fraction(2**62 - 1)]]).dtype == np.int64
     assert exact_array([[Fraction(2**62)]]).dtype == object
     big = exact_array([[Fraction(1, 2), Fraction(2**62, 3)]] * 2)
@@ -477,6 +482,53 @@ def test_shortest_path_matrix_matches_floyd_warshall(g, wide):
     assert m.entries == tuple(map(tuple, d))
     assert np.array_equal(m.rank_array(), reference_recode_ranks(d))
     assert verdict == reference_validate(m.entries, m.vertices, AxiomClass.PSEUDOMETRIC)
+
+
+def shortest_with_dtype(g):
+    """``shortest_path_matrix(g)`` and the dtype its Floyd–Warshall ran in."""
+    dtypes = []
+
+    def spy(values, scale):
+        out = _as_array(values, scale)
+        dtypes.append(out.dtype)
+        return out
+
+    with mock.patch.object(metrics, "_as_array", spy):
+        m = ug.shortest_path_matrix(g)
+    return m, dtypes[0]
+
+
+def heavy_path(n, w):
+    names = [f"v{i}" for i in range(n)]
+    return ug.build_graph(names, [(names[i], names[i + 1], w) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("w", [Fraction(0), Fraction(1), Fraction(5, 3)])
+def test_no_shortest_path_reaches_far(n, w):
+    # Every edge carries the largest weight, so the two ends of the path are
+    # (n - 1) * w apart: far - 1 in stand-ins, the longest a shortest path gets.
+    g = heavy_path(n, w)
+    m = ug.shortest_path_matrix(g)
+    assert m.entries == tuple(map(tuple, floyd_warshall(g)))
+    assert m.entry("v0", f"v{n - 1}") == (n - 1) * w == max(m._values)
+
+
+# On a path of three equal edges w, far = 2w + 1 and 2 * far = 4w + 2: the
+# first weight of each pair puts 2 * far just below 2**31 or 2**63, the second
+# just above, where a sum of two far cells would wrap in the narrower dtype.
+@pytest.mark.parametrize("w, dtype", [
+    (2**29 - 1, np.int32),
+    (2**29, np.int64),
+    (2**61 - 1, np.int64),
+    (2**61, object),
+])
+def test_shortest_path_dtype_fits_twice_far(w, dtype):
+    g = heavy_path(3, Fraction(w))
+    m, used = shortest_with_dtype(g)
+    assert used == dtype
+    assert m.entries == tuple(map(tuple, floyd_warshall(g)))
+    assert m.entry("v0", "v2") == 2 * w
 
 
 def reference_compare(m1, m2):
@@ -1480,6 +1532,67 @@ def test_a_caterpillar_round_trips_to_the_subdominant_matrix():
     back = ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g), m.vertices)
     assert back == m
     assert back.axiom_class is AxiomClass.ULTRAMETRIC
+
+
+def union_find_merge_levels(n, edges, values):
+    """``metrics._merge_levels`` as a union-find with path halving and union
+    by size, the body the quick-find core replaced."""
+    parent, size = list(range(n)), [1] * n
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
+        batch = list(batch)
+        roots = [(find(i), find(j)) for i, j, _ in batch]
+        closers = [e for e, (ra, rb) in zip(batch, roots) if ra == rb]
+        merges = []
+        for ra, rb in roots:
+            ra, rb = find(ra), find(rb)
+            if ra == rb:
+                continue
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            merges.append((ra, rb, size[ra], size[rb]))
+            parent[rb] = ra
+            size[ra] += size[rb]
+        yield values[k], closers, merges, roots
+
+
+def assert_same_merges(g, edges=None):
+    n, edges = len(g.vertices), g._level_edges if edges is None else edges
+    got = list(metrics._merge_levels(n, edges, g._levels))
+    assert got == list(union_find_merge_levels(n, edges, g._levels))
+
+
+@st.composite
+def merge_core_graphs(draw):
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    kind = draw(st.sampled_from(["corpus", "multipartite", "disconnected"]))
+    if kind == "multipartite":  # dense, with many edges to a level
+        return random_multipartite(rng, 2, 6, 5)
+    g = random_connected_graph(rng, 1, 12)
+    if kind == "disconnected":
+        g = disjoint_union(g, random_connected_graph(rng, 1, 8))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_core_graphs(), st.randoms())
+def test_merge_core_matches_union_find(g, rng):
+    assert_same_merges(g)
+    # Callers also pass edges in other orders, as the Prim tree's.
+    assert_same_merges(g, rng.sample(g._level_edges, len(g._level_edges)))
+
+
+@pytest.mark.parametrize("ks", [range(1, 1000), range(999, 0, -1), None])
+def test_merge_core_matches_union_find_on_a_deep_path(ks):
+    # Increasing weights grow one cluster a vertex at a time from one end,
+    # decreasing ones from the other; the seeded order mixes cluster sizes.
+    assert_same_merges(chain(1000, ks=ks))
 
 
 # A matrix is its ranks: the builders fill single-linkage clusters as
