@@ -204,7 +204,7 @@ def _read_graph(args) -> WeightedGraph:
         else:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or a NUL in the path
         raise ParseError(f"cannot read input: {exc}") from None
     return parse_edge_list(text)
 

@@ -43,13 +43,12 @@ from .errors import (
 from .graph import (
     Cycle,
     Vertex,
-    Weight,
     WeightedGraph,
     _adjacency_lists,
     _ranked,
+    _reach,
     build_graph,
     connected_components,
-    strict_threshold_subgraph,
     to_weight,
 )
 from .metrics import (
@@ -79,27 +78,6 @@ class ExtendabilityReport:
     witness: Cycle | None = None
 
 
-def _bfs_path(g: WeightedGraph, start: Vertex, goal: Vertex) -> list[Vertex] | None:
-    """Shortest-by-edges path in canonical exploration order, or None."""
-    if start == goal:
-        return [start]
-    prev: dict[Vertex, Vertex] = {start: start}
-    queue = [start]
-    for u in queue:
-        for nb in g.neighbors(u):
-            if nb in prev:
-                continue
-            prev[nb] = u
-            if nb == goal:
-                path = [nb]
-                while path[-1] != start:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(nb)
-    return None
-
-
 def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     """Decide whether the weighting extends to a pseudoultrametric.
 
@@ -110,17 +88,29 @@ def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     ties never count against each other. Disconnected graphs are fine:
     components are independent for this question.
     """
-    for w, closers, _, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
+    for _, closers, _, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
         if closers:
-            return ExtendabilityReport(False, _closed_cycle(g, w, closers[0]))
+            return ExtendabilityReport(False, _closed_cycle(g, closers[0]))
     return ExtendabilityReport(True, None)
 
 
-def _closed_cycle(g: WeightedGraph, w: Weight, closer: tuple[int, int, int]) -> Cycle:
-    """The cycle an index edge of weight ``w`` closes with a path of strictly lighter edges."""
-    detour = _bfs_path(strict_threshold_subgraph(g, w), g.vertices[closer[0]], g.vertices[closer[1]])
-    assert detour is not None
-    return Cycle(tuple(detour))
+def _lighter(g: WeightedGraph, k: int) -> list[list[int]]:
+    """The index adjacency of ``g``'s edges below weight level ``k``: each
+    vertex's lower neighbours, then its higher ones, increasing."""
+    return _adjacency_lists(len(g.vertices), (e for e in g._level_edges if e[2] < k))
+
+
+def _closed_cycle(g: WeightedGraph, closer: tuple[int, int, int]) -> Cycle:
+    """The cycle the index edge ``closer`` = (x, y, k) closes with the
+    fewest-edge path from x to y below level k, the first one a breadth-first
+    search from x meets."""
+    x, y, k = closer
+    parent = [-1] * len(g.vertices)
+    _reach(_lighter(g, k), x, parent)
+    detour = [y]
+    while detour[-1] != x:
+        detour.append(parent[detour[-1]])
+    return Cycle(tuple(map(g.vertices.__getitem__, reversed(detour))))
 
 
 def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
@@ -180,11 +170,12 @@ def _block_forest(adj: list[list[int]]):
     return root, parent, order, key
 
 
-def _pieces(n: int, edges, closers: list[tuple[int, int, int]]) -> np.ndarray:
-    """Each vertex's piece of the index graph ``edges`` once the blocks on
-    every closer's forest path are cut: two vertices of one component lie
-    in different pieces iff their forest path meets a marked block."""
-    _, parent, order, key = _block_forest(_adjacency_lists(n, edges))
+def _pieces(adj: list[list[int]], closers: list[tuple[int, int, int]]) -> np.ndarray:
+    """Each vertex's piece of the lighter graph ``adj`` (``_lighter`` at the
+    closers' level) once the blocks on every closer's forest path are cut:
+    two vertices of one component lie in different pieces iff their forest
+    path meets a marked block."""
+    _, parent, order, key = _block_forest(adj)
     # Mark each closer's forest path, jumping over the nodes earlier paths marked.
     hot = [False] * len(parent)
     top = list(range(len(parent)))
@@ -203,7 +194,7 @@ def _pieces(n: int, edges, closers: list[tuple[int, int, int]]) -> np.ndarray:
             hot[a], top[a] = True, parent[a]
             a = find(a)
         hot[a] = True
-    piece = list(range(n))
+    piece = list(range(len(adj)))
     for v in order:
         if parent[v] >= 0 and not hot[parent[v]]:
             piece[v] = piece[parent[parent[v]]]
@@ -235,7 +226,7 @@ def _twice_max_analysis(
     merged = 0
     for k, closers, merges, roots in _merge_levels(n, g._level_edges, range(len(g._levels))):
         if closers and require_extendable:
-            raise NotExtendableError(_closed_cycle(g, g._levels[k], closers[0]))
+            raise NotExtendableError(_closed_cycle(g, closers[0]))
         if not len(live):  # so connected: a pair of two components stays live
             if require_extendable:
                 continue
@@ -247,7 +238,7 @@ def _twice_max_analysis(
         hit = cross[lp, lq]
         cross[ra, rb] = cross[rb, ra] = False
         if closers:
-            piece = _pieces(n, (e for e in g._level_edges if e[2] < k), closers)
+            piece = _pieces(_lighter(g, k), closers)
             same = lp == lq  # not np.where: its first call adds about 0.3 MB of RSS
             hit[same] = (piece[p[live]] != piece[q[live]])[same]
         level[live[hit]] = k

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +44,22 @@ Edge = tuple[Vertex, Vertex]
 # as wide as all of them together; up to this width a stand-in is about the
 # size of a Fraction, past it the Fractions stand for themselves.
 _SCALE_BITS = 1024
+
+
+# Longest weight literal, and largest exponent magnitude, accepted: both
+# bound the digits Fraction must build, well below int's 4,300-digit str limit.
+_LITERAL_LIMIT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_TOO_LARGE = (
+    f"weight literal longer than {_LITERAL_LIMIT} characters "
+    f"or with an exponent beyond {_LITERAL_LIMIT} in size"
+)
+
+
+def _too_large(text: str) -> bool:
+    """Whether the literal ``text`` is past ``_LITERAL_LIMIT`` in length or exponent."""
+    exp = _EXPONENT.search(text)
+    return len(text) > _LITERAL_LIMIT or bool(exp and abs(int(exp[1])) > _LITERAL_LIMIT)
 
 
 def _rescale(values: Sequence[Weight]) -> tuple[list, int | None]:
@@ -73,13 +90,16 @@ def to_weight(value) -> Weight:
     Accepts Fraction, int, or a string in decimal ("0.25") or ratio
     ("1/4") notation. Floats are rejected: their binary value is almost
     never the decimal the caller had in mind, and exact equality of
-    weights is semantically load-bearing here.
+    weights is semantically load-bearing here. A string past
+    ``_LITERAL_LIMIT`` in length or exponent is a ValueError.
     """
     if isinstance(value, float):
         raise TypeError(
             "refusing to build an exact weight from float; pass a string, "
             "int or Fraction"
         )
+    if isinstance(value, str) and _too_large(value):
+        raise ValueError(_TOO_LARGE)
     w = Fraction(value)
     if w < 0:
         raise NegativeWeightError(f"weight {w} is negative")
@@ -243,26 +263,30 @@ def _adjacency_lists(n: int, edges: Iterable[tuple[int, int, int]]) -> list[list
     return adj
 
 
+def _reach(adj: Sequence[Sequence[int]], start: int, parent: list[int]) -> list[int]:
+    """The vertices reached from ``start`` along the index adjacency ``adj``,
+    breadth first with neighbours in order, in visiting order. Each gets its
+    predecessor in ``parent`` (``start`` itself); a vertex whose ``parent``
+    is not -1 counts as already seen."""
+    parent[start] = start
+    found = [start]
+    for u in found:  # the visiting order is its own queue
+        for nb in adj[u]:
+            if parent[nb] < 0:
+                parent[nb] = u
+                found.append(nb)
+    return found
+
+
 def connected_components(g: WeightedGraph) -> Partition:
     """Maximal connected vertex sets, ordered by first-vertex appearance.
 
     Vertices inside each block keep the graph's canonical order.
     """
     adj = g._neighbours
-    seen = [False] * len(adj)
-    blocks: list[tuple[Vertex, ...]] = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        for u in block:  # breadth first: the block is its own queue
-            for nb in adj[u]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    block.append(nb)
-        blocks.append(tuple(map(g.vertices.__getitem__, sorted(block))))
-    return Partition(tuple(blocks))
+    parent = [-1] * len(adj)
+    blocks = [_reach(adj, v, parent) for v in range(len(adj)) if parent[v] < 0]
+    return Partition(tuple(tuple(map(g.vertices.__getitem__, sorted(b))) for b in blocks))
 
 
 def is_connected(g: WeightedGraph) -> bool:

@@ -35,14 +35,19 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graph import Vertex, Weight, WeightedGraph, _assemble, to_weight
+from .graph import (
+    _LITERAL_LIMIT,
+    _TOO_LARGE,
+    Vertex,
+    Weight,
+    WeightedGraph,
+    _assemble,
+    _too_large,
+    to_weight,
+)
 from .metrics import Dendrogram, DistanceMatrix, _from_cells
 
 
-# Longest literal, and largest exponent magnitude, accepted: both bound
-# the digits Fraction must build, well below int's 4,300-digit str limit.
-_LITERAL_LIMIT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 # The vertex names of an edge-list row, by its token count: a declared
 # name, or both endpoints.
 _NAMED = {2: slice(1, 2), 3: slice(0, 2)}
@@ -56,13 +61,8 @@ def _literal_value(text, line: int | None = None) -> Fraction:
     ``Fraction`` reads every literal but the plain forms of ``_PLAIN``."""
     plain = None
     if isinstance(text, str):
-        exp = _EXPONENT.search(text)
-        if len(text) > _LITERAL_LIMIT or (exp and abs(int(exp[1])) > _LITERAL_LIMIT):
-            raise ParseError(
-                f"weight literal longer than {_LITERAL_LIMIT} characters "
-                f"or with an exponent beyond {_LITERAL_LIMIT} in size",
-                line=line,
-            )
+        if _too_large(text):
+            raise ParseError(_TOO_LARGE, line=line)
         plain = _PLAIN.fullmatch(text)
     try:
         if plain is None:

@@ -20,7 +20,9 @@ def is_forest(g: WeightedGraph) -> bool:
 
 
 def is_tree(g: WeightedGraph) -> bool:
-    return is_forest(g) and is_connected(g)
+    """True iff connected with |E| = |V| - 1; the count is read first, so
+    at most one search runs."""
+    return g.edge_count() == len(g.vertices) - 1 and is_connected(g)
 
 
 def multipartite_parts(g: WeightedGraph) -> Partition | None:

@@ -392,6 +392,11 @@ class TestInputHandling:
         f.write_bytes(b"a b \xff\n")
         self.assert_unreadable(cli(["check", "-i", str(f)]))
 
+    def test_nul_byte_in_path(self, cli):
+        # open() refuses the path with ValueError, not OSError.
+        code, out, err = cli(["check", "-i", "a\0b"])
+        assert (code, out, err) == (2, "", "parse-error: cannot read input: embedded null byte\n")
+
 
 class TestUsageErrors:
     def test_unknown_command(self, monkeypatch, capsys):

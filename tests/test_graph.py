@@ -36,6 +36,19 @@ class TestWeights:
     def test_zero_is_fine(self):
         assert ug.to_weight(0) == 0
 
+    def test_strings_share_the_literal_caps(self):
+        # The edge-list reader's bounds, before any Fraction is built.
+        assert ug.to_weight("1e1000") == 10**1000
+        m = ug.distance_matrix(["a", "b"], [["0", "1e1000"], ["1e1000", "0"]])
+        assert m.entry("a", "b") == 10**1000
+        for text in ["1e1001", "1e-1001", "1" * 1001]:
+            with pytest.raises(ValueError, match="exponent beyond 1000"):
+                ug.to_weight(text)
+            with pytest.raises(ValueError, match="exponent beyond 1000"):
+                ug.distance_matrix(["a", "b"], [["0", text], [text, "0"]])
+            with pytest.raises(ValueError, match="exponent beyond 1000"):
+                ug.build_graph(["a", "b"], [("a", "b", text)])
+
 
 class TestBuildGraph:
     def test_vertex_order_preserved(self):

@@ -1371,8 +1371,8 @@ LITERAL_TEXT = st.one_of(
 @settings(max_examples=1000, deadline=None)
 @given(LITERAL_TEXT)
 def test_literal_value_reads_what_fraction_reads(text):
-    exp = io._EXPONENT.search(text)
-    assume(not exp or abs(int(exp[1])) <= io._LITERAL_LIMIT)  # past it, refused unread
+    exp = graph._EXPONENT.search(text)
+    assume(not exp or abs(int(exp[1])) <= graph._LITERAL_LIMIT)  # past it, refused unread
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -1909,3 +1909,80 @@ def test_least_and_unique_extension_decide_extendability_in_their_own_walk(g, se
             else:
                 assert least == (ug.NotExtendableError, str(ug.NotExtendableError(rep.witness)))
         assert built.call_count == 0
+
+
+# Witness cycles against the search they replaced: the first closer in
+# level order, then canonical order, and a breadth-first search by vertex
+# name over the subgraph of strictly lighter edges.
+
+
+def reference_bfs_path(g, start, goal):
+    """Shortest-by-edges path in canonical exploration order, or None."""
+    if start == goal:
+        return [start]
+    prev = {start: start}
+    queue = [start]
+    for u in queue:
+        for nb in g.neighbors(u):
+            if nb in prev:
+                continue
+            prev[nb] = u
+            if nb == goal:
+                path = [nb]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            queue.append(nb)
+    return None
+
+
+def reference_witness(g):
+    for u, v, w in sorted(g.weighted_edges(), key=itemgetter(2)):  # stable: canonical within a level
+        path = reference_bfs_path(ug.strict_threshold_subgraph(g, w), u, v)
+        if path is not None:
+            return ug.Cycle(tuple(path))
+    return None
+
+
+# Repeats make ties at a closer's level and several closers per level.
+WITNESS_WEIGHTS = [
+    Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(1), Fraction(2),
+]
+
+
+@st.composite
+def witness_graphs(draw):
+    """Vertices named out of index order, and weighted edges: a random
+    graph, two of them side by side, or a complete multipartite graph."""
+    kind = draw(st.sampled_from(["random", "disconnected", "multipartite"]))
+    if kind == "multipartite":
+        part = draw(st.lists(st.integers(0, 3), min_size=2, max_size=10).filter(lambda p: len(set(p)) > 1))
+        n = len(part)
+        pairs = [(i, j) for i, j in combinations(range(n), 2) if part[i] != part[j]]
+    else:
+        n = draw(st.integers(3, 9))
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+        if kind == "disconnected":
+            pairs += [(n + i, n + j) for i, j in pairs]
+            n *= 2
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    return names, [(names[i], names[j], draw(st.sampled_from(WITNESS_WEIGHTS))) for i, j in pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(witness_graphs(), st.booleans())
+def test_witnesses_match_the_name_search_over_the_lighter_subgraph(data, wide):
+    with stand_ins(wide):
+        g = ug.build_graph(*data)
+        want = reference_witness(g)
+        assert ug.is_pseudoultrametrizable(g) == ug.ExtendabilityReport(want is None, want)
+        if want is None:
+            return
+        raisers = [ug.is_unique_extension]
+        if len(ug.multipartite_parts(g) or ()) >= 2:
+            raisers.append(ug.least_extension)
+        for f in raisers:
+            with pytest.raises(ug.NotExtendableError) as info:
+                f(g)
+            assert info.value.witness == want
