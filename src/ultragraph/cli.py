@@ -41,7 +41,7 @@ from .metrics import (
     subdominant_matrix,
 )
 from .oracle import oracle_cycle_condition, oracle_subdominant, oracle_twice_max
-from .structure import _is_star, is_forest, is_tree, multipartite_parts
+from .structure import _is_star, is_forest, multipartite_parts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,8 +260,9 @@ def _run(args) -> int:
 
     if args.command == "structure":
         parts = multipartite_parts(g)
-        print(f"forest: {'yes' if is_forest(g) else 'no'}")
-        print(f"tree: {'yes' if is_tree(g) else 'no'}")
+        forest = is_forest(g)  # a forest with n - 1 edges is connected
+        print(f"forest: {'yes' if forest else 'no'}")
+        print(f"tree: {'yes' if forest and g.edge_count() == len(g.vertices) - 1 else 'no'}")
         if parts is None:
             print("complete-multipartite: no")
         else:

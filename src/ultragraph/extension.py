@@ -201,6 +201,14 @@ def _pieces(adj: list[list[int]], closers: list[tuple[int, int, int]]) -> np.nda
     return np.array(piece)
 
 
+def _nonadjacent(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The nonadjacent index pairs ``(p, q)``, ``p < q``, in row-major order."""
+    i, j, _ = g._edge_columns
+    joined = np.tri(len(g.vertices), dtype=bool)
+    joined[i, j] = True
+    return np.nonzero(~joined)
+
+
 def _twice_max_analysis(
     g: WeightedGraph, require_extendable: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,10 +222,7 @@ def _twice_max_analysis(
     NotExtendableError at the first closer, as is_pseudoultrametrizable finds it.
     """
     n = len(g.vertices)
-    i, j, _ = g._edge_columns
-    joined = np.tri(n, dtype=bool)
-    joined[i, j] = True
-    p, q = np.nonzero(~joined)
+    p, q = _nonadjacent(g)
     level = np.full(len(p), -1)
     live = np.arange(len(p))  # the pairs no level has hit yet
     label = np.arange(n)  # each vertex's root in the lighter graph
@@ -275,9 +280,10 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
     """
     _require_connected(g)
     home = _zero_classes(g)
-    joined = {(i, j) for i, j, _ in g._level_edges}
-    pairs = set(map(tuple, np.argwhere(np.triu(home[:, None] == home, 1)).tolist()))
-    return frozenset((g.vertices[p], g.vertices[q]) for p, q in pairs - joined)
+    p, q = _nonadjacent(g)
+    same = home[p] == home[q]
+    v = g.vertices
+    return frozenset((v[a], v[b]) for a, b in zip(p[same].tolist(), q[same].tolist()))
 
 
 def least_extension(g: WeightedGraph) -> DistanceMatrix:

@@ -9,9 +9,9 @@ every other literal by ``Fraction``. A matrix is written a row at a
 time: each distinct value's text, JSON-encoded once, picked by rank and
 joined. An edge list is read in bulk into index form: all lines are
 split, vertices numbered by first appearance, self-loops and duplicates
-found on index arrays, and each distinct literal read once; a line loop
-runs only when a bulk check fails, to name the first fault in line
-order. ``graph._ranked`` orders values.
+found on index arrays, and each distinct literal read once; each check
+yields the first row where it fails, and the earliest of those names the
+error, its line counted only then. ``graph._ranked`` orders values.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -24,7 +24,6 @@ import re
 from fractions import Fraction
 from itertools import chain
 from operator import getitem
-from typing import NoReturn
 
 import numpy as np
 
@@ -136,15 +135,19 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     Blank lines and `#` comments are skipped; `vertex <name>` declares a
     vertex without edges (re-declaring is harmless). Vertex order is
-    first-appearance order. The first negative weight in line order is
-    reported only once every line has parsed. Every check runs on all
-    rows at once; when one fails, ``_first_fault`` names the fault.
+    first-appearance order. Every check runs on all rows at once and
+    yields the first row where it fails; the earliest such row names the
+    error, and only then are lines counted. The first negative weight in
+    line order is reported only once every line has parsed.
     """
     rows = [t for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"]
     width = np.fromiter(map(len, rows), np.intp, len(rows))
-    heads = [t[0] for t in rows if len(t) == 2]
-    if not rows or ((width != 2) & (width != 3)).any() or heads.count("vertex") < len(heads):
-        _first_fault(text)
+    well = width == 3
+    well[width == 2] = [t[0] == "vertex" for t in rows if len(t) == 2]
+    end = len(rows) if well.all() else int(well.argmin())
+    malformed = end < len(rows)
+    del rows[end:]  # no row from the first malformed one on is read
+    width = width[:end]
     names = list(chain.from_iterable(map(getitem, rows, map(_NAMED.__getitem__, width.tolist()))))
     index = dict.fromkeys(names)
     index = dict(zip(index, range(len(index))))
@@ -152,60 +155,41 @@ def parse_edge_list(text: str) -> WeightedGraph:
     u, v = ends[np.repeat(width == 3, width - 1)].reshape(-1, 2).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     key = lo * len(index) + hi
-    key = key[np.argsort(key, kind="stable")]  # stable, as in _assemble
+    order = np.argsort(key, kind="stable")  # stable, as in _assemble
+    key = key[order]
     literals = [t[2] for t in rows if len(t) == 3]
     distinct = dict.fromkeys(literals)  # each literal once
+    values, bad = [], []
     try:
-        values = [_literal_value(x) for x in distinct]
+        for x in distinct:
+            values.append(_literal_value(x))
     except ParseError:
-        values = None
-    if (
-        values is None
-        or any(w.numerator < 0 for w in values)
-        or (lo == hi).any()
-        or (key[1:] == key[:-1]).any()
-    ):
-        _first_fault(text)
+        bad.append(literals.index(x))
+    # The edges where each check fails, by kind: the self-loops, the repeats
+    # of an earlier edge (equal keys sort by edge), the first bad literal's first edge.
+    failed = (np.flatnonzero(lo == hi), order[1:][key[1:] == key[:-1]], bad)
+    if malformed or any(map(len, failed)):
+        edge = np.flatnonzero(width == 3).tolist()
+        row, kind = min([(end, 3)] + [(edge[min(f)], k) for k, f in enumerate(failed) if len(f)])
+        lines = enumerate(map(str.split, text.splitlines()), start=1)
+        line = [n for n, t in lines if t and t[0][0] != "#"][row]
+        if kind == 3:
+            raise ParseError("expected 'u v weight' or 'vertex name'", line=line)
+        a, b, w = rows[row]
+        if kind == 0:
+            raise SelfLoopError(f"line {line}: edge {{{a!r},{b!r}}} is a self-loop")
+        if kind == 1:
+            raise DuplicateEdgeError(f"line {line}: edge {{{a!r},{b!r}}} given twice")
+        _literal_value(w, line)  # the same fault again, now naming its line
+    if not index:
+        raise ParseError("no vertices declared")
+    for w in values:  # ordered by first use, as the edges by line
+        if w.numerator < 0:
+            to_weight(w)  # NegativeWeightError naming the first negative edge's weight
     code = dict(zip(distinct, range(len(distinct))))
     codes = np.fromiter(map(code.__getitem__, literals), np.intp, len(literals))
     del rows, names, literals  # no token outlives the read but the names
     return _assemble(tuple(index), index, lo, hi, values, codes)
-
-
-def _first_fault(text: str) -> NoReturn:
-    """Raise the error of the first fault of an edge list in line order:
-    the line loop, for error reporting only, run once a check of
-    ``parse_edge_list`` has failed."""
-    index: dict[Vertex, int] = {}
-    seen: set[tuple[int, int]] = set()
-    literals: dict[str, Fraction] = {}
-
-    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) == 2 and tokens[0] == "vertex":
-            index.setdefault(tokens[1], len(index))
-            continue
-        if len(tokens) != 3:
-            raise ParseError("expected 'u v weight' or 'vertex name'", line=lineno)
-        u, v, wtext = tokens
-        i = index.setdefault(u, len(index))
-        j = index.setdefault(v, len(index))
-        if i == j:
-            raise SelfLoopError(f"line {lineno}: edge {{{u!r},{v!r}}} is a self-loop")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            raise DuplicateEdgeError(f"line {lineno}: edge {{{u!r},{v!r}}} given twice")
-        seen.add(key)
-        if wtext not in literals:
-            literals[wtext] = _literal_value(wtext, lineno)
-
-    if not index:
-        raise ParseError("no vertices declared")
-    for w in literals.values():  # ordered by first use, as the edges by line
-        if w.numerator < 0:
-            to_weight(w)  # NegativeWeightError naming the first negative edge's weight
-    raise AssertionError("a bulk check failed on an edge list without a fault")
 
 
 def emit_edge_list(g: WeightedGraph) -> str:

@@ -15,8 +15,10 @@ from .graph import Partition, Vertex, WeightedGraph, connected_components, is_co
 
 
 def is_forest(g: WeightedGraph) -> bool:
-    """True iff the graph has no cycles: |E| = |V| - #components."""
-    return g.edge_count() == len(g.vertices) - len(connected_components(g))
+    """True iff the graph has no cycles: |E| = |V| - #components. The
+    count is read first, so a graph with |E| >= |V| runs no search."""
+    m, n = g.edge_count(), len(g.vertices)
+    return m < n and m == n - len(connected_components(g))
 
 
 def is_tree(g: WeightedGraph) -> bool:

@@ -222,6 +222,23 @@ class TestStructure:
         assert code == 0 and out.count("\n") == 4
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "text, searches, tree",
+        [("a b 1\nb c 2\nc d 1\n", 1, "yes"), ("a x 1\na y 1\na z 1\nb x 1\nb y 1\nb z 1\n", 0, "no")],
+    )
+    def test_at_most_one_component_search(self, cli, text, searches, tree):
+        calls, components = [], structure.connected_components
+
+        def counted(g):
+            calls.append(g)
+            return components(g)
+
+        with mock.patch.object(structure, "connected_components", counted), \
+                mock.patch("ultragraph.graph.connected_components", counted):
+            code, out, _ = cli(["structure"], text)
+        assert code == 0 and f"tree: {tree}\n" in out
+        assert len(calls) == searches
+
 
 class TestExponent:
     def test_infinite(self, cli):

@@ -151,6 +151,13 @@ class TestEdgeListErrorOrder:
             ("a b 1\nb a 2", ug.DuplicateEdgeError, "line 2: edge {'b','a'} given twice"),
             # the loop is refused before its literal is read
             ("a a x", ug.SelfLoopError, "line 1: edge {'a','a'} is a self-loop"),
+            # the first repeat by line, though its key sorts after another's
+            ("a b 1\nc d 1\nc d 2\na b 2", ug.DuplicateEdgeError, "line 3: edge {'c','d'} given twice"),
+            # a repeat is refused before its literal is read
+            ("a b 1\na b x", ug.DuplicateEdgeError, "line 2: edge {'a','b'} given twice"),
+            # a fault on an earlier line wins, whatever its kind
+            ("a b x\nb c", ug.ParseError, "line 1: bad weight literal 'x'"),
+            ("b c\na b x", ug.ParseError, "line 1: expected 'u v weight' or 'vertex name'"),
             ("a b -1/2\nb c -3", ug.NegativeWeightError, "weight -1/2 is negative"),
             ("a b 1/2\nb c 2\nc d -0.5\nd a -1", ug.NegativeWeightError, "weight -1/2 is negative"),
             ("\n#x\n", ug.ParseError, "no vertices declared"),
