@@ -11,23 +11,25 @@ rank among them, so each value is converted, rescaled and formatted once,
 and ``entries`` is built only when read. Its class is verified at
 construction: ``_CHECKS`` lists each class's checks for ``validate`` and
 ``_classify``, all but the plain triangle read the ranks alone, and the
-strong triangle is certified in O(n²) by a Prim tree, scanned only for a
-witness. ``_merge_levels`` is the one single-linkage core; every cluster
-is an interval of one leaf order, so a builder fills two slices per merge
-(``_fill_intervals``). Floyd–Warshall, the plain triangle, ``compare`` and
-the exponent run on the values times the lcm of their denominators, exact
-integers in int32, int64 or Python ints, whichever twice the largest fits
-first (``_as_array``), unless that lcm is wider than ``graph._SCALE_BITS``.
+strong triangle is certified in O(n²) by each vertex's nearest earlier
+vertex, scanned only for a witness. ``_merge_levels`` is the one
+single-linkage core; every cluster is an interval of one leaf order, so a
+builder fills two slices per merge (``_fill_intervals``). Floyd–Warshall,
+the plain triangle, ``compare`` and the exponent run on the values times
+the lcm of their denominators, exact integers in int32, int64 or Python
+ints, whichever twice the largest fits first (``_as_array``), unless that
+lcm is wider than ``graph._SCALE_BITS``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import chain, combinations, compress, count, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -154,9 +156,9 @@ def _as_array(values: list, scale: int | None) -> np.ndarray:
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first true cell in row-major order, else None."""
-    hits = np.argwhere(bad)
-    return tuple(map(int, hits[0])) if len(hits) else None
+    """Index of the first true cell in row-major order (``argmax`` stops there), else None."""
+    at = int(bad.argmax()) if bad.size else 0
+    return tuple(map(int, np.unravel_index(at, bad.shape))) if bad.size and bad.flat[at] else None
 
 
 def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | None:
@@ -173,55 +175,44 @@ def _scan_witness(d: np.ndarray, bound_of: np.ufunc) -> tuple[int, int, int] | N
     return None
 
 
-def _prim_tree(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim from vertex 0 on nonempty symmetric ``ranks``: at [k, j] whether
-    j is placed before k, and each vertex's parent p(k), its nearest vertex
-    placed before it (vertex 0's own is 0). The edges (k, p(k)) for k > 0
-    form a minimum spanning tree."""
-    n = len(ranks)
-    top = np.int64(np.iinfo(np.int64).max)  # above every rank; as a NumPy scalar, never cast down
-    rows = ranks.astype(np.int64)  # a placed vertex's column turns to top
-    place = np.zeros(n, dtype=np.intp)  # position in Prim order
-    link = np.full(n, top - 1)  # rank to the nearest placed vertex; top once placed
-    for t in range(n):
-        k = int(link.argmin())
-        place[k], link[k], rows[:, k] = t, top, top
-        np.minimum(link, rows[k], out=link)
-    earlier = place < place[:, None]
-    return earlier, np.where(earlier, ranks, top).argmin(axis=1)
+def _nearest_earlier(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strict lower triangle of nonempty ``ranks``, and each vertex k's nearest
+    earlier vertex p(k), the first on ties (vertex 0's own is 0)."""
+    lower = np.tri(len(ranks), k=-1, dtype=bool)
+    top = np.iinfo(ranks.dtype).max  # above every rank: no matrix has that many values
+    return lower, np.where(lower, ranks, top).argmin(axis=1)
 
 
 def _strong_triangle_holds(ranks: np.ndarray) -> bool:
-    """Whether ``ranks`` satisfy the strong triangle, in O(n²); they must be
-    symmetric with a zero diagonal, as the asymmetry and nonzero-diagonal
-    checks before it in ``_CHECKS`` order ensure.
-
-    The Prim tree joins each vertex k to its parent p(k). The ranks hold iff
-    d(k, j) = max(d(k, p(k)), d(p(k), j)) for every j placed before k: the
-    right side fills in the tree's path maximum, an ultrametric, and an
-    ultrametric equals its own minimax distance, which every minimum
-    spanning tree realises."""
+    """Whether ``ranks`` satisfy the strong triangle, in a fixed number of O(n²)
+    passes; they must be symmetric with a zero diagonal, as the asymmetry and
+    nonzero-diagonal checks before it in ``_CHECKS`` order ensure. They hold iff
+    d(k, j) = max(d(k, p(k)), d(p(k), j)) for every j < k, p(k) the nearest earlier.
+    Sound: by induction on k, d is then the path maximum of the tree with edges
+    (k, p(k)), a pseudoultrametric, as the tree path from k to j < k runs via p(k).
+    Complete: in a pseudoultrametric d(k, p(k)) ≤ d(k, j), so d(p(k), j) ≤
+    max(d(p(k), k), d(k, j)) = d(k, j), and d(k, j) ≤ max(d(k, p(k)), d(p(k), j))."""
     n = len(ranks)
     if not n:  # argmin needs a row
         return True
-    earlier, parent = _prim_tree(ranks)
+    lower, parent = _nearest_earlier(ranks)
     bound = np.maximum(ranks[parent], ranks[np.arange(n), parent][:, None])
-    return not ((ranks != bound) & earlier).any()
+    return not ((ranks != bound) & lower).any()
 
 
 def _witness(kind: str, ranks: np.ndarray, values: Sequence[Weight]) -> tuple[int, ...] | None:
     """First witness against one check in scan order, else None, for the
     entries ``values[ranks]`` (as ``_from_values`` takes them)."""
     if kind == "asymmetry":
-        return _first(np.triu(ranks != ranks.T))
+        return _first(ranks != ranks.T)  # its first true cell lies above the diagonal
     if kind == "nonzero-diagonal":  # rank 0 is the value 0 if any entry is
         return _first(np.diagonal(ranks) != 0) if values[0] == 0 else (0,)
     if kind == "strong-triangle":  # scanned only for a witness
         return None if _strong_triangle_holds(ranks) else _scan_witness(ranks, np.maximum)
     if kind == "triangle":
         return _scan_witness(_as_array(*_rescale(values))[ranks], np.add)
-    # zero-off-diagonal, checked once the diagonal is zero
-    return _first((ranks == 0) & ~np.eye(len(ranks), dtype=bool))
+    np.fill_diagonal(zero := ranks == 0, False)  # zero-off-diagonal, once the diagonal is zero
+    return _first(zero)
 
 
 # The checks of every class, then each class's own, in scan order. A
@@ -272,31 +263,34 @@ def _from_cells(vertices: Sequence[Vertex], rows, convert):
     distinct cell, by first appearance, before the names and the shape are
     checked. When every cell is a ``str`` the cells are their own keys;
     otherwise a string keys itself and any other cell is keyed with its type
-    (1.0 is no 1), a Fraction by its two integers, since its hash is Python code."""
-    cells = [cell for row in rows for cell in row]
+    (1.0 is no 1), a Fraction by its two integers, since its hash is Python code.
+    Each key is numbered by first appearance, in one pass over the cells."""
+    size = sum(map(len, rows))
+
+    def numbered(keys) -> tuple[dict, np.ndarray]:
+        first = defaultdict(count().__next__)  # a new key takes the next number
+        return first, np.fromiter(map(first.__getitem__, keys), np.int32, size)
+
     try:  # a str caches its hash: text keys itself in one C pass
-        texts = dict.fromkeys(cells) if cells and type(cells[0]) is str else {}
-        if texts and all(type(k) is str for k in texts):
-            at, firsts = cells, list(texts)  # the cells key themselves
-            distinct = firsts
-        else:  # each cell's key, then where each key first appears
-            keys = [c if (t := type(c)) is str else (t, c) if t is not Fraction
-                    else (t, c.numerator, c.denominator) for c in cells]
-            first: dict = {}
-            at = list(map(first.setdefault, keys, range(len(keys))))
-            firsts = list(first.values())
-            distinct = [cells[i] for i in firsts]
+        if text := type(next(chain.from_iterable(rows), None)) is str:
+            first, at = numbered(chain.from_iterable(rows))
+            text = all(type(k) is str for k in first)
+        if not text:
+            first, at = numbered(c if (t := type(c)) is str else (t, c) if t is not Fraction
+                                 else (t, c.numerator, c.denominator) for c in chain.from_iterable(rows))
     except TypeError:  # an unhashable cell, refused in row-major order
-        [convert(cell) for cell in cells]
+        [convert(cell) for cell in chain.from_iterable(rows)]
         raise
+    # Otherwise a key first appears where the running maximum of the numbers grows.
+    distinct = first if text else compress(chain.from_iterable(rows),
+                                           np.diff(np.maximum.accumulate(at), prepend=-1).tolist())
     converted = list(map(convert, distinct))
     _check_vertices(vertices)
     n = len(vertices)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise VertexMismatchError(f"entries must form a {n}x{n} square")
     values, ranks = _ranked(converted)  # two spellings may give one value
-    codes = np.fromiter(map(dict(zip(firsts, ranks)).__getitem__, at), np.int32, n * n)
-    return _from_values(vertices, values, codes.reshape(n, n))
+    return _from_values(vertices, values, np.array(ranks, dtype=np.int32)[at].reshape(n, n))
 
 
 def distance_matrix(vertices: Sequence[Vertex], entries) -> DistanceMatrix:
@@ -591,8 +585,8 @@ def dendrogram(m: DistanceMatrix) -> Dendrogram:
             f"matrix class is {m.axiom_class.value}, need ultrametric"
         )
     n = len(m.vertices)
-    k = np.arange(1, n)  # the minimum spanning tree's edges merge as all pairs do
-    parent = _prim_tree(m._ranks)[1][1:]
+    k = np.arange(1, n)  # nearest-earlier edges: a tree whose path maximum is m
+    parent = _nearest_earlier(m._ranks)[1][1:]
     edges = zip(k.tolist(), parent.tolist(), m._ranks[k, parent].tolist())
     return _merge_tree(m.vertices, _merge_levels(n, edges, m._values))
 

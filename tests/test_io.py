@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 
 import ultragraph as ug
+from ultragraph import AxiomClass, io
 
 from corpus import random_connected_graph, random_ultrametric
 
@@ -392,6 +393,8 @@ class TestMatrixSerialization:
              ug.ParseError, "bad weight literal 'x'"),
             ("json", '{"vertices":["a","b"],"matrix":[["0","x"],["1"]]}',
              ug.ParseError, "bad weight literal 'x'"),
+            ("json", '{"vertices":["a","b","c"],"matrix":[["0","1","1"],["x"],["1","1","0"]]}',
+             ug.ParseError, "bad weight literal 'x'"),
             ("json", '{"vertices":["a","b"],"matrix":[["0",[1]],["x"]]}',
              ug.ParseError, "bad matrix json: cell [1] is neither a weight string nor an integer"),
             ("json", '{"vertices":["a","b"],"matrix":[["0","x"],[[1],"0"]]}',
@@ -409,6 +412,15 @@ class TestMatrixSerialization:
             ug.parse_matrix(text, fmt)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    def test_int_first_cell_then_strings(self, monkeypatch):
+        # 1 and "1" are converted apart, and both read as the value 1
+        seen, convert = [], io._json_weight
+        monkeypatch.setattr(io, "_json_weight", lambda c: seen.append(c) or convert(c))
+        back = ug.parse_matrix('{"vertices":["a","b","c"],"matrix":[[0,1,"2"],["1",0,"2"],["2","2",0]]}')
+        assert seen == [0, 1, "2", "1"]
+        assert back == ug.distance_matrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        assert back.axiom_class is AxiomClass.ULTRAMETRIC
 
     def test_comma_in_vertex_name_rejected_for_csv(self):
         m = ug.distance_matrix(["a,b", "c"], [[0, 1], [1, 0]])

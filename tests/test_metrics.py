@@ -107,6 +107,12 @@ class TestValidate:
         assert v.kind == "asymmetry"
         assert v.witness == ("a", "b")
 
+    def test_asymmetry_below_the_diagonal_names_the_upper_cell(self):
+        # The first differing cell in row-major order is (a, c), not (c, a)
+        m = mat(["a", "b", "c"], (0, 1, 1), (1, 0, 1), (2, 1, 0))
+        v = ug.validate(m, AxiomClass.PSEUDOMETRIC)
+        assert (v.kind, v.witness) == ("asymmetry", ("a", "c"))
+
     def test_diagonal_witness(self):
         m = mat(["a", "b"], (0, 1), (1, 3))
         v = ug.validate(m, AxiomClass.PSEUDOMETRIC)
@@ -515,8 +521,19 @@ class TestInternedCells:
     def test_cells_are_checked_before_the_shape(self):
         self.raises(ug.NegativeWeightError, "weight -2 is negative",
                     ug.distance_matrix, "ab", [[0, 1], [-2]])
+        self.raises(ValueError, "Invalid literal for Fraction: 'x'",
+                    ug.distance_matrix, "abc", [[0, 1, 1], ["x"], [1, 1, 0]])
         self.raises(ug.VertexMismatchError, "entries must form a 2x2 square",
                     ug.distance_matrix, "ab", [[0, 1], [1]])
+
+    def test_int_and_its_string_are_converted_apart(self, monkeypatch):
+        # A str first cell, then an int: the cells are keyed again with their types
+        seen = []
+        monkeypatch.setattr(ug.metrics, "to_weight", lambda c: seen.append(c) or ug.to_weight(c))
+        m = ug.distance_matrix("abc", [["0", 1, "1"], [1, "0", "1"], ["1", "1", "0"]])
+        assert seen == ["0", 1, "1"]
+        assert m.entries == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        assert m.axiom_class is AxiomClass.ULTRAMETRIC
 
     def test_unhashable_cell_is_refused_as_before(self):
         self.raises(TypeError, "argument should be a string or a Rational instance",

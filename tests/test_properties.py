@@ -12,6 +12,7 @@ from itertools import combinations, groupby, product
 from operator import add, itemgetter
 from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -1407,19 +1408,21 @@ def test_json_emit_is_json_dumps_of_the_document(names, data):
     assert ug.parse_matrix(ug.emit_matrix(m, "json")) == m
 
 
-# The strong triangle is decided by a Prim certificate in O(n²); the cubic
-# scan runs only to find validate's witness.
+# The strong triangle is decided in O(n²) by a certificate over each
+# vertex's nearest earlier vertex; the cubic scan runs only to find
+# validate's witness.
 
 
 @st.composite
 def strong_triangle_cases(draw, min_n=0):
-    """Symmetric zero-diagonal integer rows on up to 7 vertices: a planted
+    """Symmetric zero-diagonal integer rows on up to 12 vertices: a planted
     ultrametric (random merges at nondecreasing heights from 0, so early
-    merges make zero classes), the same with one pair moved up or down,
-    or heavy ties over {0, 1, 2}."""
-    n = draw(st.integers(min_n, 7))
+    merges make zero classes), the same with one pair moved up or down or
+    with the last vertex's row redrawn so that several earlier vertices tie
+    as its nearest, or heavy ties over {0, 1, 2}."""
+    n = draw(st.integers(min_n, 12))
     rows = [[0] * n for _ in range(n)]
-    kind = draw(st.sampled_from(["planted", "perturbed", "ties"]))
+    kind = draw(st.sampled_from(["planted", "perturbed", "nearest-tie", "ties"]))
     if kind == "ties":
         for i, j in combinations(range(n), 2):
             rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
@@ -1436,6 +1439,10 @@ def strong_triangle_cases(draw, min_n=0):
     if kind == "perturbed" and n >= 2:
         i, j = draw(st.permutations(range(n)))[:2]
         rows[i][j] = rows[j][i] = max(0, rows[i][j] + draw(st.sampled_from([-1, 1])))
+    if kind == "nearest-tie" and n >= 3:
+        h, tied = draw(st.integers(0, 3)), draw(st.sets(st.integers(0, n - 2), min_size=2))
+        for j in range(n - 1):
+            rows[j][-1] = rows[-1][j] = h if j in tied else h + draw(st.integers(0, 2))
     return rows
 
 
@@ -1463,7 +1470,8 @@ def test_validate_strong_triangle_matches_the_reference(rows, fault, data):
 
 
 def all_pairs_dendrogram(m):
-    """dendrogram(m) as it merged all n(n-1)/2 pairs, not the Prim tree's n-1."""
+    """dendrogram(m) as it merged all n(n-1)/2 pairs, not the n-1 edges to
+    each vertex's nearest earlier vertex."""
     n = len(m.vertices)
     i, j = np.triu_indices(n, 1)
     pairs = zip(i.tolist(), j.tolist(), m.rank_array()[i, j].tolist())
@@ -1471,13 +1479,27 @@ def all_pairs_dendrogram(m):
 
 
 @settings(max_examples=500, deadline=None)
-@given(strong_triangle_cases(min_n=1), st.permutations(["b", "a", "v10", "v2", "v1", "B", "é"]))
-def test_dendrogram_over_the_prim_tree_matches_all_pairs(rows, labels):
+@given(strong_triangle_cases(min_n=1),
+       st.permutations(["b", "a", "v10", "v2", "v1", "B", "é", "A", "v0", "aa", "Z", "c"]))
+def test_dendrogram_over_the_nearest_earlier_tree_matches_all_pairs(rows, labels):
     m = ug.distance_matrix(labels[:len(rows)], rows)
     assume(m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC))
     q = ug.quotient(m)[1]  # ties at one height make multiway nodes
     got, want = ug.dendrogram(q), all_pairs_dendrogram(q)
     assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)),
+       st.sampled_from(["drawn", "all-false", "last"]))
+def test_first_is_the_first_argwhere_hit(bad, kind):
+    if kind != "drawn":
+        bad[...] = False
+    if kind == "last" and bad.size:
+        bad.flat[-1] = True
+    for view in (bad, bad.T):  # a transpose is read in its own row-major order
+        hits = np.argwhere(view)
+        assert metrics._first(view) == (tuple(map(int, hits[0])) if len(hits) else None)
 
 
 @contextmanager
