@@ -119,13 +119,13 @@ def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     This is exactly the subdominant matrix once extendability holds: the
     greatest pseudoultrametric below the weight then agrees with it on
     every edge. No greatest extension exists on disconnected graphs, and
-    none at all without extendability.
+    none at all without extendability; disconnection is reported first.
     """
-    _require_connected(g)
+    m = subdominant_matrix(g)
     report = is_pseudoultrametrizable(g)
     if not report.pseudoultrametrizable:
         raise NotExtendableError(report.witness)
-    return subdominant_matrix(g)
+    return m
 
 
 def _block_forest(adj: list[list[int]]):

@@ -351,6 +351,39 @@ class TestOracleCommand:
         assert err.startswith("enumeration-limit:")
 
 
+class TestLibraryBindings:
+    """Each command calls the library through the names bound in
+    ``ultragraph.cli``, looked up when it runs, so rebinding one there (as
+    the benchmark's tracer does) reaches the command."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["check"], ["is_pseudoultrametrizable"]),
+            (["subdominant"], ["subdominant_matrix", "emit_matrix"]),
+            (["subdominant", "--format", "newick"], ["subdominant_dendrogram", "emit_newick"]),
+            (["shortest"], ["shortest_path_matrix", "emit_matrix"]),
+            (["least"], ["least_extension", "emit_matrix"]),
+            (["tm"], ["twice_max_pairs"]),
+            (["wch"], ["well_chained_pairs"]),
+            (["unique"], ["is_unique_extension"]),
+            (["structure"], ["multipartite_parts", "is_forest"]),
+            (["exponent"], ["shortest_path_matrix", "betweenness_exponent"]),
+            (["augment"], ["connected_components", "augment", "emit_edge_list"]),
+            (["oracle", "check"], ["oracle_cycle_condition"]),
+            (["oracle", "subdominant"], ["distance_matrix", "emit_matrix"]),
+            (["oracle", "tm"], ["oracle_twice_max"]),
+        ],
+    )
+    def test_each_call_is_looked_up_in_the_cli_module(self, cli, argv, names):
+        calls = {name: mock.Mock(wraps=getattr(cli_module, name))
+                 for name in ["parse_edge_list", *names]}
+        with mock.patch.multiple(cli_module, **calls):
+            code, _, err = cli(argv, UNIT_C4)
+        assert code in (0, 1) and err == ""
+        assert {name: c.call_count for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+
 class TestInputHandling:
     def test_input_file(self, cli, tmp_path):
         f = tmp_path / "g.txt"
@@ -458,6 +491,20 @@ class TestUsageErrors:
         assert err.startswith("usage-error: unrecognized arguments")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "brk, escaped",
+        [("\n", "\\n"), ("\r\n", "\\r\\n"), ("\v", "\\x0b"), ("\f", "\\x0c"),
+         ("\x1c", "\\x1c"), ("\x1d", "\\x1d"), ("\x1e", "\\x1e"), ("\x85", "\\x85"),
+         ("\u2028", "\\u2028"), ("\u2029", "\\u2029")],
+    )
+    def test_line_break_in_an_unrecognized_argument_is_escaped(self, monkeypatch, capsys,
+                                                               brk, escaped):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", f"a{brk}b", "c"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == f"usage-error: unrecognized arguments: a{escaped}b c\n"
+
     def test_bad_format_choice(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
         with pytest.raises(SystemExit) as excinfo:
@@ -509,6 +556,19 @@ FUZZ_COMMANDS = [
 ]
 
 
+# One command with extra argv tokens, which argparse mostly refuses as
+# unrecognized arguments, quoting them as they are.
+FUZZ_EXTRA_ARGV = st.tuples(
+    st.sampled_from(FUZZ_COMMANDS),
+    st.lists(
+        st.sampled_from(["a\nb", "\r\n", "x\u2028", "\x85", "\x1c\f", "-", "--", "-i", "-x"])
+        | st.text(max_size=6),
+        min_size=1,
+        max_size=3,
+    ),
+).map(lambda drawn: drawn[0] + drawn[1])
+
+
 FUZZ_TEXT = st.sampled_from(["", "x", "1.5", "1e3", "-", "0x10", "\u0663"])
 FUZZ_OPTIONS = st.tuples(
     st.integers(-3, 1003).map(str) | FUZZ_TEXT,
@@ -546,14 +606,14 @@ def run_file(argv, path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=FUZZ_INPUTS, options=FUZZ_OPTIONS)
-def test_contract_holds_on_arbitrary_bytes(tmp_path_factory, data, options):
+@given(data=FUZZ_INPUTS, options=FUZZ_OPTIONS, extra=FUZZ_EXTRA_ARGV)
+def test_contract_holds_on_arbitrary_bytes(tmp_path_factory, data, options, extra):
     path = tmp_path_factory.getbasetemp() / "fuzz-input"
     path.write_bytes(data)
-    for argv in FUZZ_COMMANDS + option_commands(*options):
+    for argv in FUZZ_COMMANDS + option_commands(*options) + [extra]:
         code, out, err = run_file(argv, path)
         assert code in (0, 1, 2)
         if code == 2:
-            assert err.count("\n") == 1 and err.endswith("\n")
+            assert len(err.splitlines()) == 1 and err.endswith("\n")
             assert ": " in err
         assert run_file(argv, path) == (code, out, err)

@@ -3,11 +3,12 @@ pair families (twice-max and well-chained) that drive them."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import ultragraph as ug
-from ultragraph import AxiomClass, oracle
+from ultragraph import AxiomClass, extension, graph, metrics, oracle
 from ultragraph.extension import _block_forest
 
 from corpus import named_twice_max_analysis, random_connected_graph, random_multipartite
@@ -110,6 +111,23 @@ class TestGreatestExtension:
     def test_is_the_subdominant(self):
         g = unit_c4()
         assert ug.greatest_extension(g) == ug.subdominant_matrix(g)
+
+    def test_disconnection_is_reported_before_a_unique_maximum(self):
+        g = ug.build_graph(["a", "b", "c", "d"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
+        with pytest.raises(ug.DisconnectedError) as excinfo:
+            ug.greatest_extension(g)
+        assert (excinfo.value.u, excinfo.value.v) == ("a", "d")
+
+    @pytest.mark.parametrize("g", [unit_c4(), triangle123()])
+    def test_searches_components_once(self, g):
+        searches = mock.Mock(wraps=graph.connected_components)
+        with mock.patch.object(metrics, "connected_components", searches), \
+                mock.patch.object(extension, "connected_components", searches):
+            try:
+                ug.greatest_extension(g)
+            except ug.NotExtendableError as exc:
+                assert exc.witness == ug.is_pseudoultrametrizable(g).witness
+        assert searches.call_count == 1
 
 
 class TestTwiceMaxPairs:

@@ -1,11 +1,13 @@
 """Pinned CLI transcripts: every command, in every format it offers, over a
-small seeded corpus.
+small seeded corpus, and the help and usage-error texts.
 
 Each command's transcripts (exit code, stdout, stderr per input) hash to
-one sha256, which is pinned below. A change that alters any byte of any
-transcript fails here. To print the digests of the current code, run
+one sha256, which is pinned below; the help and usage-error transcripts
+of ``USAGE``, at 80 columns, hash to one more. A change that alters any
+byte of any transcript fails here. To print the digests of the current
+code, run
 
-    PYTHONPATH=src:tests python tests/test_transcripts.py
+    COLUMNS=80 PYTHONPATH=src:tests python tests/test_transcripts.py
 """
 
 import hashlib
@@ -42,6 +44,22 @@ COMMANDS = [
     ["oracle", "subdominant"],
     ["oracle", "subdominant", "--format", "csv"],
     ["oracle", "tm"],
+]
+
+# argparse's own output: every help text, then usage errors without a line
+# break (a bad command, option value or choice, an unrecognized argument).
+USAGE = [
+    ["--help"],
+    *([name, "--help"] for name in ["check", "subdominant", "shortest", "least", "tm", "wch",
+                                    "unique", "structure", "exponent", "augment", "oracle"]),
+    ["bogus"],
+    [],
+    ["subdominant", "--format", "yaml"],
+    ["oracle", "bogus"],
+    ["exponent", "--tol", "x"],
+    ["exponent", "--tol", "0"],
+    ["subdominant", "--format", "newick", "--approx-digits", "1001"],
+    ["check", "--format", "csv"],
 ]
 
 
@@ -103,6 +121,14 @@ def digests() -> dict[str, str]:
     return out
 
 
+def usage_digest() -> str:
+    h = hashlib.sha256()
+    for argv in USAGE:
+        code, stdout, stderr = run(argv, "a b 1\n")
+        h.update(f"{code}\0{stdout}\0{stderr}\0".encode())
+    return h.hexdigest()
+
+
 # Taken before the interned-value builders landed; they must not move.
 PINNED = {
     'check': 'd9975828ac61d43f10d1f605ec45a316daf4ae8833908c73a46f93428444b653',
@@ -129,10 +155,21 @@ PINNED = {
 }
 
 
+# Taken before the commands were declared in one table, under Python 3.11;
+# argparse words its help and errors differently in other versions.
+PINNED_USAGE = "3bcfeb12aa1d10a9dbd71518fae0a5a9522c9cad0552d30a04b796a1da4f27a6"
+
+
 def test_transcripts_match_pinned_digests():
     assert digests() == PINNED
+
+
+def test_help_and_usage_errors_match_pinned_digest(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_digest() == PINNED_USAGE
 
 
 if __name__ == "__main__":
     for name, d in digests().items():
         print(f"    {name!r}: {d!r},")
+    print(f"PINNED_USAGE = {usage_digest()!r}")
