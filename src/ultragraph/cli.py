@@ -94,7 +94,7 @@ def _read_graph(args) -> WeightedGraph:
                 text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or a NUL in the path
         raise ParseError(f"cannot read input: {exc}") from None
-    return parse_edge_list(text)
+    return parse_edge_list(text.removeprefix("\ufeff"))  # a leading byte-order mark
 
 
 def _verdict(holds: bool, word: str) -> int:

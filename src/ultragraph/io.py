@@ -7,11 +7,14 @@ each distinct literal or matrix value is parsed or formatted once. Those
 plain forms are read with one ASCII regex and ``Fraction(int, int)``,
 every other literal by ``Fraction``. A matrix is written a row at a
 time: each distinct value's text, JSON-encoded once, picked by rank and
-joined. An edge list is read in bulk into index form: all lines are
-split, vertices numbered by first appearance, self-loops and duplicates
-found on index arrays, and each distinct literal read once; each check
-yields the first row where it fails, and the earliest of those names the
-error, its line counted only then. ``graph._ranked`` orders values.
+joined. An edge list is read in one pass over its lines that keeps
+every name and literal in flat lists, so no row's tokens outlive its
+line, and stops at the first malformed row; then vertices are numbered
+by first appearance, self-loops and duplicates found on index arrays,
+and each distinct literal read once. Each check yields the first edge
+where it fails, and the earliest of those, or else the malformed row,
+names the error, its line counted only then. ``graph._ranked`` orders
+values.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -22,8 +25,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
-from operator import getitem
 
 import numpy as np
 
@@ -47,9 +48,6 @@ from .graph import (
 from .metrics import Dendrogram, DistanceMatrix, _from_cells
 
 
-# The vertex names of an edge-list row, by its token count: a declared
-# name, or both endpoints.
-_NAMED = {2: slice(1, 2), 3: slice(0, 2)}
 # The forms format_weight writes, read without Fraction's grammar: an
 # integer, a ratio or a decimal, in ASCII digits.
 _PLAIN = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
@@ -135,29 +133,35 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     Blank lines and `#` comments are skipped; `vertex <name>` declares a
     vertex without edges (re-declaring is harmless). Vertex order is
-    first-appearance order. Every check runs on all rows at once and
-    yields the first row where it fails; the earliest such row names the
-    error, and only then are lines counted. The first negative weight in
-    line order is reported only once every line has parsed.
+    first-appearance order. One pass over the lines keeps each name and
+    literal, and no row from the first malformed one on; every check then
+    runs on all edges at once and yields the first edge where it fails.
+    The earliest such edge, or else the malformed row, names the error,
+    and only then are lines counted. The first negative weight in line
+    order is reported only once every line has parsed.
     """
-    rows = [t for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"]
-    width = np.fromiter(map(len, rows), np.intp, len(rows))
-    well = width == 3
-    well[width == 2] = [t[0] == "vertex" for t in rows if len(t) == 2]
-    end = len(rows) if well.all() else int(well.argmin())
-    malformed = end < len(rows)
-    del rows[end:]  # no row from the first malformed one on is read
-    width = width[:end]
-    names = list(chain.from_iterable(map(getitem, rows, map(_NAMED.__getitem__, width.tolist()))))
+    # Every name in order of appearance, where each declared one stands,
+    # and each edge's literal: no row's token list outlives its line.
+    names, declared, literals = [], [], []
+    malformed = False
+    for t in map(str.split, text.splitlines()):
+        if len(t) == 3 and t[0][0] != "#":
+            names += t[0], t[1]
+            literals.append(t[2])
+        elif len(t) == 2 and t[0] == "vertex":
+            declared.append(len(names))
+            names.append(t[1])
+        elif t and t[0][0] != "#":
+            malformed = True
+            break  # no row from the first malformed one on is read
     index = dict.fromkeys(names)
     index = dict(zip(index, range(len(index))))
     ends = np.fromiter(map(index.__getitem__, names), np.intp, len(names))
-    u, v = ends[np.repeat(width == 3, width - 1)].reshape(-1, 2).T
+    u, v = np.delete(ends, declared).reshape(-1, 2).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     key = lo * len(index) + hi
     order = np.argsort(key, kind="stable")  # stable, as in _assemble
     key = key[order]
-    literals = [t[2] for t in rows if len(t) == 3]
     distinct = dict.fromkeys(literals)  # each literal once
     values, bad = [], []
     try:
@@ -169,13 +173,15 @@ def parse_edge_list(text: str) -> WeightedGraph:
     # of an earlier edge (equal keys sort by edge), the first bad literal's first edge.
     failed = (np.flatnonzero(lo == hi), order[1:][key[1:] == key[:-1]], bad)
     if malformed or any(map(len, failed)):
-        edge = np.flatnonzero(width == 3).tolist()
-        row, kind = min([(end, 3)] + [(edge[min(f)], k) for k, f in enumerate(failed) if len(f)])
+        # A malformed row follows every edge read, so it ranks as one edge more;
+        # the rows neither comments nor declarations are the edges, then it.
+        row, kind = min([(len(literals), 3)] + [(min(f), k) for k, f in enumerate(failed) if len(f)])
         lines = enumerate(map(str.split, text.splitlines()), start=1)
-        line = [n for n, t in lines if t and t[0][0] != "#"][row]
+        rows = [(n, t) for n, t in lines if t and t[0][0] != "#" and (len(t), t[0]) != (2, "vertex")]
+        line, tokens = rows[row]
         if kind == 3:
             raise ParseError("expected 'u v weight' or 'vertex name'", line=line)
-        a, b, w = rows[row]
+        a, b, w = tokens
         if kind == 0:
             raise SelfLoopError(f"line {line}: edge {{{a!r},{b!r}}} is a self-loop")
         if kind == 1:
@@ -188,7 +194,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
             to_weight(w)  # NegativeWeightError naming the first negative edge's weight
     code = dict(zip(distinct, range(len(distinct))))
     codes = np.fromiter(map(code.__getitem__, literals), np.intp, len(literals))
-    del rows, names, literals  # no token outlives the read but the names
+    del names, literals  # no token outlives the read but the names
     return _assemble(tuple(index), index, lo, hi, values, codes)
 
 
@@ -202,8 +208,11 @@ def emit_edge_list(g: WeightedGraph) -> str:
     for name in g.vertices:
         if not name or name.startswith("#") or any(c.isspace() for c in name):
             raise ParseError(f"vertex name {name!r} cannot appear in an edge list")
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"{u} {v} {format_weight(w)}" for u, v, w in g.weighted_edges()]
+    names = g.vertices
+    # Each level once, in order of first use: a DigitLimitError names the first edge's.
+    texts = {k: format_weight(g._levels[k]) for k in dict.fromkeys(k for *_, k in g._level_edges)}
+    lines = [f"vertex {v}" for v in names]
+    lines += [f"{names[i]} {names[j]} {texts[k]}" for i, j, k in g._level_edges]
     return "\n".join(lines)
 
 

@@ -442,6 +442,30 @@ class TestInputHandling:
         f.write_bytes(b"a b \xff\n")
         self.assert_unreadable(cli(["check", "-i", str(f)]))
 
+    # Without the byte-order mark this text exits 2 with duplicate-edge.
+    BOM_REPEAT = "\ufeffa b 1\nb a 2"
+
+    def test_byte_order_mark_is_dropped_from_a_file(self, cli, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes(self.BOM_REPEAT.encode("utf-8"))
+        code, out, err = cli(["check", "-i", str(f)])
+        assert (code, out, err) == (2, "", "duplicate-edge: line 2: edge {'b','a'} given twice\n")
+        f.write_bytes(("\ufeff" + TRIANGLE_122).encode("utf-8"))
+        assert cli(["check", "-i", str(f)])[:2] == (0, "pseudoultrametrizable\n")
+
+    def test_byte_order_mark_is_dropped_from_stdin(self, cli):
+        code, out, err = cli(["check"], self.BOM_REPEAT)
+        assert (code, out, err) == (2, "", "duplicate-edge: line 2: edge {'b','a'} given twice\n")
+        code, out, _ = cli(["shortest", "--format", "csv"], "\ufeff" + TRIANGLE_122)
+        assert (code, out.splitlines()[0]) == (0, ",a,b,c")
+
+    def test_byte_order_mark_elsewhere_is_part_of_its_name(self, cli):
+        # Only one leading mark is dropped; the rest name other vertices.
+        for text in ["\ufeff\ufeffa b 1\nb a 2", "a b 1\n\ufeffb a 2", "a b 1\nb \ufeffa 2"]:
+            code, out, err = cli(["shortest", "--format", "csv"], text)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[0].count("\ufeff") == 1
+
     def test_nul_byte_in_path(self, cli):
         # open() refuses the path with ValueError, not OSError.
         code, out, err = cli(["check", "-i", "a\0b"])

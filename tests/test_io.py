@@ -176,6 +176,16 @@ class TestEdgeListErrorOrder:
                 ug.parse_edge_list(text)
             assert info.value.line == line
 
+    def test_no_literal_from_the_first_malformed_row_on_is_converted(self):
+        long = "1" * 1001
+        text = f"a b 1/2\n# c d q\nvertex e\nb c\nc d x\nd e {long}\nb c 1 2\ne f 3"
+        with mock.patch.object(io, "_literal_value", wraps=io._literal_value) as read:
+            with pytest.raises(ug.ParseError) as info:
+                ug.parse_edge_list(text)
+        assert str(info.value) == "line 4: expected 'u v weight' or 'vertex name'"
+        assert info.value.line == 4
+        assert [c.args[0] for c in read.call_args_list] == ["1/2"]
+
     def test_negative_zero_is_zero(self):
         g = ug.parse_edge_list("a b -0")
         assert list(g.weighted_edges()) == [("a", "b", Fraction(0))]
@@ -264,6 +274,30 @@ class TestEdgeListRoundTrip:
         g = ug.build_graph(["a#b", "vertex"], [("a#b", "vertex", 1)])
         text = ug.emit_edge_list(g)
         assert ug.emit_edge_list(ug.parse_edge_list(text)) == text
+
+    def test_each_distinct_weight_is_formatted_once(self):
+        names = [f"v{i}" for i in range(6)]
+        weights = [Fraction(1, 3), 2, Fraction(1, 2)]
+        g = ug.build_graph(
+            names, [(names[i], names[j], weights[(i + j) % 3]) for i in range(6) for j in range(i + 1, 6)]
+        )
+        with mock.patch.object(io, "format_weight", wraps=io.format_weight) as fmt:
+            text = ug.emit_edge_list(g)
+        assert sorted(c.args[0] for c in fmt.call_args_list) == sorted(map(Fraction, weights))
+        lines = [f"vertex {v}" for v in names]
+        lines += [f"{u} {v} {ug.format_weight(w)}" for u, v, w in g.weighted_edges()]
+        assert text == "\n".join(lines)
+
+    def test_digit_limit_names_the_first_edge_that_fails(self):
+        # The first edge's weight is the larger level; both are past the
+        # integer-to-text limit.
+        first, second = Fraction(3**9200), Fraction(1, 3**9100)
+        g = ug.build_graph(["a", "b", "c"], [("a", "b", first), ("b", "c", second)])
+        with pytest.raises(ug.DigitLimitError) as want:
+            ug.format_weight(first)
+        with pytest.raises(ug.DigitLimitError) as info:
+            ug.emit_edge_list(g)
+        assert str(info.value) == str(want.value)
 
     def test_second_emission_is_identical(self):
         g = ug.build_graph(["a", "b", "c"], [("a", "b", "0.5"), ("b", "c", 2)])

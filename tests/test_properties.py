@@ -997,14 +997,19 @@ def hostile_edge_lists(draw):
     """Edge-list texts with up to three faults of every kind the reader
     names (wrong token counts, self-loops, duplicates either way round,
     bad, huge and negative literals) among edges, comments and
-    declarations, with Unicode line breaks and spaces."""
+    declarations, with Unicode line breaks and spaces, leading ones too.
+    Comments have one to four tokens, so a reader that tests the token
+    count before the comment mark meets each count."""
     name = st.sampled_from(HOSTILE_NAMES)
     good = st.sampled_from(HOSTILE_LITERALS[:11])
     ends = st.lists(name, min_size=2, max_size=2, unique=True)
     sound = st.one_of(
         st.builds(lambda uv, w: (*uv, w), ends, good),
         st.tuples(st.just("vertex"), name),
-        st.sampled_from([(), ("#",), ("#", "a", "b", "1"), ("#x", "y", "1")]),
+        st.sampled_from([
+            (), ("#",), ("#x", "y"), ("#", "vertex"), ("#vertex", "a", "b"),
+            ("#", "a", "b", "1"), ("#x", "y", "1"),
+        ]),
     )
     fault = st.one_of(
         st.tuples(name, name, st.sampled_from(HOSTILE_LITERALS)),
@@ -1019,7 +1024,7 @@ def hostile_edge_lists(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(fault))
     text = []
     for tokens in lines:
-        lead = draw(st.sampled_from(["", " ", "\u3000"]))
+        lead = draw(st.sampled_from(["", *SPACES]))
         text += [lead, draw(st.sampled_from(SPACES)).join(tokens), draw(st.sampled_from(BREAKS))]
     return "".join(text[:-1] if draw(st.booleans()) else text)
 
