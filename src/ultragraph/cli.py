@@ -2,8 +2,9 @@
 
 Exit codes are a stable scripting contract: 0 for success or an
 affirmative verdict, 1 for a negative verdict, 2 for usage, parse or
-precondition errors. Every error prints exactly one machine-readable
-line on stderr of the form ``code: detail``.
+precondition errors, and 2 when an allocation fails (``out-of-memory``).
+Every error prints exactly one machine-readable line on stderr of the
+form ``code: detail``.
 
 Each command is declared once, in ``_COMMANDS``: its help text, its own
 arguments and its handler, from which ``_build_parser`` builds the
@@ -305,6 +306,10 @@ def main(argv=None) -> int:
         return args.run(_read_graph(args), args)
     except UltragraphError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation it refused
+        detail = str(exc).translate(_ESCAPED_BREAKS) or "an allocation failed"
+        print(f"out-of-memory: {detail}", file=sys.stderr)
         return 2
 
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .graph import (
     Cycle,
     Vertex,
     WeightedGraph,
-    _adjacency_lists,
+    _csr,
     _ranked,
     _reach,
     build_graph,
@@ -55,6 +54,7 @@ from .metrics import (
     AxiomClass,
     DistanceMatrix,
     _from_values,
+    _level_slices,
     _merge_levels,
     _require_connected,
     _settle,
@@ -88,16 +88,17 @@ def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     ties never count against each other. Disconnected graphs are fine:
     components are independent for this question.
     """
-    for _, closers, _, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
+    for _, closers, _ in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
         if closers:
             return ExtendabilityReport(False, _closed_cycle(g, closers[0]))
     return ExtendabilityReport(True, None)
 
 
-def _lighter(g: WeightedGraph, k: int) -> list[list[int]]:
+def _lighter(g: WeightedGraph, k: int) -> tuple[tuple[int, ...], ...]:
     """The index adjacency of ``g``'s edges below weight level ``k``: each
     vertex's lower neighbours, then its higher ones, increasing."""
-    return _adjacency_lists(len(g.vertices), (e for e in g._level_edges if e[2] < k))
+    columns = g._edge_columns
+    return _csr(len(g.vertices), columns.compress(columns[2] < k, axis=1))
 
 
 def _closed_cycle(g: WeightedGraph, closer: tuple[int, int, int]) -> Cycle:
@@ -128,7 +129,7 @@ def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     return m
 
 
-def _block_forest(adj: list[list[int]]):
+def _block_forest(adj: Sequence[Sequence[int]]):
     """Block-vertex forest of index adjacency lists, by iterative Hopcroft–Tarjan.
 
     Nodes ``0..n-1`` are the vertices, then one node per block, whose
@@ -170,7 +171,7 @@ def _block_forest(adj: list[list[int]]):
     return root, parent, order, key
 
 
-def _pieces(adj: list[list[int]], closers: list[tuple[int, int, int]]) -> np.ndarray:
+def _pieces(adj: Sequence[Sequence[int]], closers: list[tuple[int, int, int]]) -> np.ndarray:
     """Each vertex's piece of the lighter graph ``adj`` (``_lighter`` at the
     closers' level) once the blocks on every closer's forest path are cut:
     two vertices of one component lie in different pieces iff their forest
@@ -229,7 +230,8 @@ def _twice_max_analysis(
     to = np.arange(n)  # each root's root once the level's merges are done
     cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
     merged = 0
-    for k, closers, merges, roots in _merge_levels(n, g._level_edges, range(len(g._levels))):
+    columns, starts = _level_slices(g._edge_columns)  # level k's edges start at starts[k]
+    for k, closers, merges in _merge_levels(n, columns, range(len(g._levels))):
         if closers and require_extendable:
             raise NotExtendableError(_closed_cycle(g, closers[0]))
         if not len(live):  # so connected: a pair of two components stays live
@@ -238,7 +240,7 @@ def _twice_max_analysis(
             break
         merged += len(merges)
         lp, lq = label[p[live]], label[q[live]]
-        ra, rb = np.fromiter(chain.from_iterable(roots), np.intp).reshape(-1, 2).T
+        ra, rb = label[columns[:2, starts[k]:starts[k + 1]]]  # the level's starting roots
         cross[ra, rb] = cross[rb, ra] = True
         hit = cross[lp, lq]
         cross[ra, rb] = cross[rb, ra] = False
@@ -264,9 +266,10 @@ def twice_max_pairs(g: WeightedGraph) -> PairSet:
 
 def _zero_classes(g: WeightedGraph) -> np.ndarray:
     """Each vertex's class in the subgraph of zero-weight edges, as the class's last root."""
-    zero = [e for e in g._level_edges if e[2] == 0] if g._levels[:1] == (0,) else []
+    columns = g._edge_columns  # level 0, when its weight is 0
+    zero = columns.compress((columns[2] == 0) & (g._levels[:1] == (0,)), axis=1)
     home = np.arange(len(g.vertices))
-    for _, _, merges, _ in _merge_levels(len(g.vertices), zero, g._levels):  # one level
+    for _, _, merges in _merge_levels(len(g.vertices), zero, g._levels):  # one level
         _settle(home, merges)
     return home
 

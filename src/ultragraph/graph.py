@@ -8,11 +8,13 @@ exact, which the extension criteria depend on.
 Every verdict but the min-sum distance reads the weights only through
 their order, which ``_ranked`` alone decides, for matrices too. A graph
 is stored in index form: its sorted distinct weights, ``_levels``, and
-its edges in canonical order as ``(i, j, level)``, ``_level_edges``, for
-downstream code to sort and group. ``build_graph``, ``io.parse_edge_list``
-and ``strict_threshold_subgraph`` share one assembler that sorts the
-index pairs and ranks the weights. The adjacency by index, and the
-weights and the adjacency by name, are views built on their first read.
+its edges in canonical order as the rows ``i``, ``j``, ``level`` of one
+read-only intp array, ``_edge_columns``, whose bytes equality and hash
+read. ``build_graph``, ``io.parse_edge_list`` and
+``strict_threshold_subgraph`` share one assembler that sorts the index
+pairs and ranks the weights. The index adjacency comes from one CSR
+builder, ``_csr``; it, and the weights and the adjacency by name, are
+views built on their first read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -137,27 +138,19 @@ class WeightedGraph:
     vertices: tuple[Vertex, ...]
     _index: Mapping[Vertex, int] = field(compare=False, repr=False)
     _levels: tuple[Weight, ...] = field(repr=False)
-    _level_edges: tuple[tuple[int, int, int], ...] = field(repr=False)
+    _edge_columns: np.ndarray = field(compare=False, repr=False)
+    _edge_bytes: bytes = field(repr=False)
 
     @functools.cached_property
     def _weights(self) -> dict[Edge, Weight]:
         """Each edge's weight by its canonical name pair, in canonical order."""
         v, w = self.vertices, self._levels
-        return {(v[i], v[j]): w[k] for i, j, k in self._level_edges}
-
-    @functools.cached_property
-    def _edge_columns(self) -> np.ndarray:
-        """The edges as the three rows ``i``, ``j``, ``level`` of one read-only index array."""
-        flat = chain.from_iterable(self._level_edges)
-        columns = np.fromiter(flat, np.intp, 3 * len(self._level_edges)).reshape(-1, 3).T
-        columns.flags.writeable = False
-        return columns
+        return {(v[i], v[j]): w[k] for i, j, k in zip(*self._edge_columns.tolist())}
 
     @functools.cached_property
     def _neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours by index, increasing: the edges' order
-        puts all lower neighbours before all higher ones."""
-        return tuple(map(tuple, _adjacency_lists(len(self.vertices), self._level_edges)))
+        """Each vertex's neighbours by index, increasing."""
+        return _csr(len(self.vertices), self._edge_columns)
 
     @functools.cached_property
     def _adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
@@ -182,7 +175,7 @@ class WeightedGraph:
         return tuple(self._weights)
 
     def edge_count(self) -> int:
-        return len(self._level_edges)
+        return self._edge_columns.shape[1]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         if u == v:
@@ -249,18 +242,20 @@ def _assemble(
     # 0.2 MB more code on its first call; the stable one loads none.
     order = np.argsort(i * len(verts) + j, kind="stable")
     levels, ranks = _ranked(values)
-    level = np.array(ranks, np.intp)[codes[order]]
-    edges = zip(i[order].tolist(), j[order].tolist(), level.tolist())
-    return WeightedGraph(verts, index, levels, tuple(edges))
+    columns = np.stack([i[order], j[order], np.array(ranks, np.intp)[codes[order]]])
+    columns.flags.writeable = False
+    return WeightedGraph(verts, index, levels, columns, columns.tobytes())
 
 
-def _adjacency_lists(n: int, edges: Iterable[tuple[int, int, int]]) -> list[list[int]]:
-    """Each of ``n`` vertices' neighbours along the index ``edges``, in edge order."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+def _csr(n: int, columns: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Each of ``n`` vertices' neighbours along the index edges ``columns``:
+    one stable sort of the endpoints, lower ends first, so that edges in
+    canonical order give each vertex its lower neighbours, then its higher
+    ones, increasing."""
+    ends, nbs = columns[1::-1].ravel(), columns[:2].ravel()  # the rows j, i and i, j
+    nbs = tuple(nbs[ends.argsort(kind="stable")].tolist())  # stable, as in _assemble
+    bounds = [0, *np.bincount(ends, minlength=n).cumsum().tolist()]
+    return tuple(nbs[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _reach(adj: Sequence[Sequence[int]], start: int, parent: list[int]) -> list[int]:
@@ -299,7 +294,7 @@ def strict_threshold_subgraph(g: WeightedGraph, bound) -> WeightedGraph:
     Monotone in the bound: raising it can only add edges.
     """
     cut = bisect_left(g._levels, to_weight(bound))
-    i, j, k = np.array([e for e in g._level_edges if e[2] < cut], np.intp).reshape(-1, 3).T
+    i, j, k = g._edge_columns.compress(g._edge_columns[2] < cut, axis=1)
     return _assemble(g.vertices, g._index, i, j, g._levels[:cut], k)
 
 

@@ -9,12 +9,12 @@ every other literal by ``Fraction``. A matrix is written a row at a
 time: each distinct value's text, JSON-encoded once, picked by rank and
 joined. An edge list is read in one pass over its lines that keeps
 every name and literal in flat lists, so no row's tokens outlive its
-line, and stops at the first malformed row; then vertices are numbered
-by first appearance, self-loops and duplicates found on index arrays,
-and each distinct literal read once. Each check yields the first edge
-where it fails, and the earliest of those, or else the malformed row,
-names the error, its line counted only then. ``graph._ranked`` orders
-values.
+line, and stops at the first malformed row; then names and literals
+are numbered by first appearance, in one pass each, self-loops and
+duplicates found on index arrays, and each distinct literal read once.
+Each check yields the first edge where it fails, and the earliest of
+those, or else the malformed row, names the error, its line counted
+only then. ``graph._ranked`` orders values.
 Newick output is decimal-only by convention, so non-terminating branch
 lengths require an explicit approximation request and carry the exact
 ratio in a comment.
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -154,18 +156,19 @@ def parse_edge_list(text: str) -> WeightedGraph:
         elif t and t[0][0] != "#":
             malformed = True
             break  # no row from the first malformed one on is read
-    index = dict.fromkeys(names)
-    index = dict(zip(index, range(len(index))))
+    index = defaultdict(count().__next__)  # a new name takes the next number
     ends = np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+    index.default_factory = None  # numbered: an unknown name is a KeyError again
     u, v = np.delete(ends, declared).reshape(-1, 2).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     key = lo * len(index) + hi
     order = np.argsort(key, kind="stable")  # stable, as in _assemble
     key = key[order]
-    distinct = dict.fromkeys(literals)  # each literal once
+    code = defaultdict(count().__next__)  # each literal once, by first use
+    codes = np.fromiter(map(code.__getitem__, literals), np.intp, len(literals))
     values, bad = [], []
     try:
-        for x in distinct:
+        for x in code:
             values.append(_literal_value(x))
     except ParseError:
         bad.append(literals.index(x))
@@ -192,9 +195,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     for w in values:  # ordered by first use, as the edges by line
         if w.numerator < 0:
             to_weight(w)  # NegativeWeightError naming the first negative edge's weight
-    code = dict(zip(distinct, range(len(distinct))))
-    codes = np.fromiter(map(code.__getitem__, literals), np.intp, len(literals))
-    del names, literals  # no token outlives the read but the names
+    del names, literals, code  # no token outlives the read but the names
     return _assemble(tuple(index), index, lo, hi, values, codes)
 
 
@@ -209,10 +210,11 @@ def emit_edge_list(g: WeightedGraph) -> str:
         if not name or name.startswith("#") or any(c.isspace() for c in name):
             raise ParseError(f"vertex name {name!r} cannot appear in an edge list")
     names = g.vertices
+    i, j, level = g._edge_columns.tolist()
     # Each level once, in order of first use: a DigitLimitError names the first edge's.
-    texts = {k: format_weight(g._levels[k]) for k in dict.fromkeys(k for *_, k in g._level_edges)}
+    texts = {k: format_weight(g._levels[k]) for k in dict.fromkeys(level)}
     lines = [f"vertex {v}" for v in names]
-    lines += [f"{names[i]} {names[j]} {texts[k]}" for i, j, k in g._level_edges]
+    lines += [f"{names[a]} {names[b]} {texts[k]}" for a, b, k in zip(i, j, level)]
     return "\n".join(lines)
 
 

@@ -13,8 +13,10 @@ construction: ``_CHECKS`` lists each class's checks for ``validate`` and
 ``_classify``, all but the plain triangle read the ranks alone, and the
 strong triangle is certified in O(n²) by each vertex's nearest earlier
 vertex, scanned only for a witness. ``_merge_levels`` is the one
-single-linkage core; every cluster is an interval of one leaf order, so a
-builder fills two slices per merge (``_fill_intervals``). Floyd–Warshall,
+single-linkage core: it reads a graph's edge columns, grouped into levels
+by one stable sort of the level column, and builds no per-edge tuple but
+a closer's. Every cluster is an interval of one leaf order, so a builder
+fills two slices per merge (``_fill_intervals``). Floyd–Warshall,
 the plain triangle, ``compare`` and the exponent run on the values times
 the lcm of their denominators, exact integers in int32, int64 or Python
 ints, whichever twice the largest fits first (``_as_array``), unless that
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, compress, count, groupby
+from itertools import chain, combinations, compress, count
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -325,26 +327,33 @@ def _require_connected(g: WeightedGraph) -> None:
         raise DisconnectedError(comps.blocks[0][0], comps.blocks[1][0])
 
 
-def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequence[Weight]):
-    """Kruskal pass over index edges ``(i, j, k)`` of weight ``values[k]``,
-    one weight level at a time; ``values`` must be increasing.
+def _level_slices(columns: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The index edges ``columns`` ``(i, j, k)`` in level order, one stable
+    sort of ``k``, and where each level present starts, then their count."""
+    columns = columns.take(columns[2].argsort(kind="stable"), axis=1)
+    return columns, [*np.unique(columns[2], return_index=True)[1].tolist(), columns.shape[1]]
 
-    Yields ``(w, closers, merges, roots)`` per level present, increasing.
-    ``closers`` are the level's edges whose endpoints strictly lighter
-    edges already joined; ``merges`` lists each union in edge order as
+
+def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight]):
+    """Kruskal pass over the index edges ``columns`` ``(i, j, k)`` of weight
+    ``values[k]``, one weight level at a time; ``values`` must be increasing.
+
+    Yields ``(w, closers, merges)`` per level present, increasing.
+    ``closers`` are the level's edges ``(i, j, k)`` whose endpoints strictly
+    lighter edges already joined; ``merges`` lists each union in edge order as
     ``(ra, rb, sa, sb)``, the roots and sizes of the two clusters it fused,
     survivor first. Each root leads its cluster in ``_fill_intervals``' order.
-    ``roots`` holds each edge's endpoint roots as the level started.
     Quick-find: ``label`` holds each vertex's root and each root its members,
     so a merge relabels the smaller cluster, O(n log n) relabels in all.
     """
+    columns, starts = _level_slices(columns)
+    ii, jj, kk = columns.tolist()
     label, members = list(range(n)), [[v] for v in range(n)]
-    for k, batch in groupby(sorted(edges, key=itemgetter(2)), key=itemgetter(2)):
-        batch = list(batch)
-        roots = [(label[i], label[j]) for i, j, _ in batch]
-        closers = [e for e, (ra, rb) in zip(batch, roots) if ra == rb]
+    for lo, hi in zip(starts, starts[1:]):
+        k, a, b = kk[lo], ii[lo:hi], jj[lo:hi]
+        closers = [(i, j, k) for i, j in zip(a, b) if label[i] == label[j]]
         merges = []
-        for i, j, _ in batch:
+        for i, j in zip(a, b):
             ra, rb = label[i], label[j]
             if ra == rb:
                 continue
@@ -355,7 +364,7 @@ def _merge_levels(n: int, edges: Iterable[tuple[int, int, int]], values: Sequenc
             for v in mb:
                 label[v] = ra
             ma += mb
-        yield values[k], closers, merges, roots
+        yield values[k], closers, merges
 
 
 def _settle(root: np.ndarray, merges: list) -> None:
@@ -390,7 +399,7 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     """
     _require_connected(g)
     weights, merges = [Fraction(0)], []  # weight of each rank; merges with their rank
-    for w, _, level, _ in _merge_levels(len(g.vertices), g._level_edges, g._levels):
+    for w, _, level in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
         if level and w:
             weights.append(w)
         merges += [(*m, len(weights) - 1) for m in level]
@@ -546,7 +555,7 @@ def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
         return label, Dendrogram(Fraction(0), (), label)
 
     root = 0
-    for w, _, merges, _ in levels:
+    for w, _, merges in levels:
         if not w:
             for root, rb, _, _ in merges:
                 first[root] = min(first[root], first[rb])
@@ -569,8 +578,8 @@ def subdominant_dendrogram(g: WeightedGraph) -> Dendrogram:
     matrix; leaves are the zero-distance classes. Raises DisconnectedError
     like ``subdominant_matrix``.
     """
-    levels = list(_merge_levels(len(g.vertices), g._level_edges, g._levels))
-    if sum(len(merges) for _, _, merges, _ in levels) < len(g.vertices) - 1:
+    levels = list(_merge_levels(len(g.vertices), g._edge_columns, g._levels))
+    if sum(len(merges) for _, _, merges in levels) < len(g.vertices) - 1:
         _require_connected(g)  # raises, naming two components
     return _merge_tree(g.vertices, levels)
 
@@ -587,7 +596,7 @@ def dendrogram(m: DistanceMatrix) -> Dendrogram:
     n = len(m.vertices)
     k = np.arange(1, n)  # nearest-earlier edges: a tree whose path maximum is m
     parent = _nearest_earlier(m._ranks)[1][1:]
-    edges = zip(k.tolist(), parent.tolist(), m._ranks[k, parent].tolist())
+    edges = np.stack([k, parent, m._ranks[k, parent]])
     return _merge_tree(m.vertices, _merge_levels(n, edges, m._values))
 
 

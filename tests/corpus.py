@@ -174,6 +174,11 @@ def from_networkx(
     return ug.build_graph(names, edges)
 
 
+def edge_triples(g: ug.WeightedGraph) -> tuple[tuple[int, int, int], ...]:
+    """The edges of ``g`` as ``(i, j, level)`` triples, read off its columns."""
+    return tuple(zip(*g._edge_columns.tolist()))
+
+
 def named_twice_max_analysis(
     g: ug.WeightedGraph,
 ) -> tuple[frozenset, dict[tuple[str, str], Fraction]]:

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from ultragraph import cli as cli_module, parse_edge_list, structure
+from ultragraph import cli as cli_module, extension, parse_edge_list, structure
 from ultragraph.cli import main
 
 TRIANGLE_123 = "a b 1\nb c 2\na c 3\n"
@@ -424,6 +424,20 @@ class TestInputHandling:
             assert (code, out) == (2, "")
             assert err.startswith("digit-limit: ")
             assert err.count("\n") == 1
+
+    # numpy's words when it refuses the n x n table of ``tm`` on a graph of
+    # 300,000 vertices; the allocation is patched to refuse, none is made.
+    REFUSED = "Unable to allocate 83.8 GiB for an array with shape (300000, 300000) and data type bool"
+
+    @pytest.mark.parametrize("refused, detail", [
+        (MemoryError(REFUSED), REFUSED),
+        (MemoryError(), "an allocation failed"),
+        (MemoryError("two\nlines"), "two\\nlines"),
+    ])
+    def test_a_refused_allocation_is_one_error_line(self, cli, refused, detail):
+        with mock.patch.object(extension.np, "tri", side_effect=refused):
+            code, out, err = cli(["tm"], UNIT_C4)
+        assert (code, out, err) == (2, "", f"out-of-memory: {detail}\n")
 
     def assert_unreadable(self, result):
         code, out, err = result

@@ -113,7 +113,7 @@ class TestBuildGraph:
         # 1 + 2**-60 and 1 are the same float
         g = ug.build_graph("abc", [("a", "b", 1 + Fraction(1, 2**60)), ("b", "c", 1)])
         assert g._levels == (1, 1 + Fraction(1, 2**60))
-        assert g._level_edges == ((0, 1, 1), (1, 2, 0))
+        assert g._edge_columns.T.tolist() == [[0, 1, 1], [1, 2, 0]]
 
 
 class TestValueObject:
@@ -145,9 +145,11 @@ class TestValueObject:
 
     def test_index_columns_are_built_once_and_left_out_of_the_value(self):
         g = triangle()
-        assert "_edge_columns" not in vars(g)
+        assert "_neighbours" not in vars(g)
         columns = g._edge_columns
-        assert columns.tolist() == [list(c) for c in zip(*g._level_edges)]
+        assert columns.T.tolist() == [[0, 1, 0], [0, 2, 2], [1, 2, 1]]
+        neighbours = g._neighbours
+        assert neighbours == ((1, 2), (0, 2), (0, 1)) and g._neighbours is neighbours
         assert g._edge_columns is columns and not columns.flags.writeable
         assert hash(g) == hash(triangle()) and g == triangle()
         assert repr(g) == "WeightedGraph(vertices=('a', 'b', 'c'))"
@@ -205,7 +207,7 @@ class TestThresholdSubgraph:
         h = ug.strict_threshold_subgraph(g, "3/2")
         assert h.edges == (("a", "d"), ("b", "c"), ("c", "d"))
         assert h._levels == (Fraction(1, 2), 1)
-        assert h._level_edges == ((0, 3, 1), (1, 2, 1), (2, 3, 0))
+        assert h._edge_columns.T.tolist() == [[0, 3, 1], [1, 2, 1], [2, 3, 0]]
         assert h.neighbors("d") == ("a", "c")
 
 

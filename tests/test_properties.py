@@ -26,6 +26,7 @@ from ultragraph.metrics import _as_array, _scan_witness, _strong_triangle_holds
 from corpus import (
     atlas_graphs,
     disjoint_union,
+    edge_triples,
     from_networkx,
     named_twice_max_analysis,
     random_connected_graph,
@@ -928,7 +929,7 @@ def assert_same_graph(g, h):
     assert list(g._index.items()) == list(h._index.items())
     assert [g.neighbors(v) for v in g.vertices] == [h.neighbors(v) for v in h.vertices]
     assert g._levels == h._levels
-    assert g._level_edges == h._level_edges
+    assert edge_triples(g) == edge_triples(h)
 
 
 def reference_levels(g):
@@ -945,7 +946,7 @@ def test_parse_edge_list_matches_build_graph(data, wide):
     with stand_ins(wide):
         g = ug.parse_edge_list(text)
         assert_same_graph(g, ug.build_graph(vertices, edges))
-        assert (g._levels, g._level_edges) == reference_levels(g)
+        assert (g._levels, edge_triples(g)) == reference_levels(g)
         for u in g.vertices:  # neighbours in canonical order
             assert list(g.neighbors(u)) == sorted(g.neighbors(u), key=g._index.__getitem__)
         assert_same_graph(ug.parse_edge_list(ug.emit_edge_list(g)), g)
@@ -1047,11 +1048,91 @@ def test_bulk_edge_list_reader_matches_the_line_loop(text):
     assert g.vertices == vertices
     assert g._index == {v: k for k, v in enumerate(vertices)}
     assert g._levels == levels
-    assert g._level_edges == tuple((i, j, levels.index(weights[i, j])) for i, j in pairs)
+    assert edge_triples(g) == tuple((i, j, levels.index(weights[i, j])) for i, j in pairs)
     assert list(g.weighted_edges()) == [(vertices[i], vertices[j], weights[i, j]) for i, j in pairs]
     for k, v in enumerate(vertices):
         near = sorted({j for i, j in pairs if i == k} | {i for i, j in pairs if j == k})
         assert g.neighbors(v) == tuple(vertices[x] for x in near)
+
+
+# A graph is its edge columns: every builder leaves the canonical
+# (i, j, level) triples as one read-only intp array, equality and hash read
+# them, and one CSR builder gives the adjacency the edge loop gave.
+
+
+def adjacency_lists(n, edges):
+    """Each of ``n`` vertices' neighbours along the index ``edges``, in edge
+    order: the loop ``_neighbours`` and ``_lighter`` ran before the CSR builder."""
+    adj = [[] for _ in range(n)]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def reference_triples(vertices, weighted_edges):
+    """The canonical ``(i, j, level)`` triples of the graph on ``vertices``
+    with these name-pair edges: index pairs in order, levels by sorting the weights."""
+    index = {v: k for k, v in enumerate(vertices)}
+    weights = [ug.parse_weight(w) if isinstance(w, str) else Fraction(w) for _, _, w in weighted_edges]
+    levels = sorted(set(weights))
+    pairs = [sorted((index[u], index[v])) for u, v, _ in weighted_edges]
+    return tuple(sorted((i, j, levels.index(w)) for (i, j), w in zip(pairs, weights)))
+
+
+def built_graphs(text, vertices, edges, rng):
+    """(graph, its vertices, its name-pair edges) from every builder: the
+    reader, ``build_graph``, a threshold subgraph, an induced subgraph,
+    ``augment``, the complete graph of a matrix and the edgeless graph."""
+    g = ug.parse_edge_list(text)
+    weights = [ug.parse_weight(w) for _, _, w in edges]
+    bound = rng.choice([0, *weights, 10])
+    subset = rng.sample(vertices, rng.randint(1, len(vertices)))
+    comps = ug.connected_components(g).blocks
+    hub = rng.randrange(len(comps))
+    consts = {k: rng.choice(WEIGHTS) for k in range(len(comps)) if k != hub}
+    made = [
+        (g, vertices, edges),
+        (ug.build_graph(vertices, edges), vertices, edges),
+        (ug.strict_threshold_subgraph(g, bound), vertices,
+         [e for e, w in zip(edges, weights) if w < bound]),
+        (ug.induced_subgraph(g, subset), [v for v in vertices if v in subset],
+         [e for e in edges if e[0] in subset and e[1] in subset]),
+        (ug.augment(g, hub, consts), vertices,
+         edges + [(comps[k][0], comps[hub][0], w) for k, w in consts.items()]),
+        (ug.build_graph(vertices), vertices, []),
+    ]
+    if len(comps) == 1:
+        m = ug.subdominant_matrix(g)
+        made.append((ug.matrix_to_complete_graph(m), vertices,
+                     [(u, v, m.entry(u, v)) for u, v in combinations(vertices, 2)]))
+    return made
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_inputs(), st.randoms())
+def test_every_builder_leaves_the_canonical_edge_columns(data, rng):
+    made = built_graphs(*data, rng)
+    for h, vertices, edges in made:
+        columns = h._edge_columns
+        assert h.vertices == tuple(vertices)
+        assert columns.dtype == np.intp and columns.shape == (3, len(edges))
+        assert not columns.flags.writeable
+        triples = edge_triples(h)
+        assert triples == reference_triples(vertices, edges)
+        assert h._neighbours == tuple(map(tuple, adjacency_lists(len(vertices), triples)))
+        for k in range(len(h._levels) + 1):  # isolated vertices below every level
+            lighter = adjacency_lists(len(vertices), [e for e in triples if e[2] < k])
+            assert ug.extension._lighter(h, k) == tuple(map(tuple, lighter))
+    # Equality and hash agree with the vertices, levels and triples, across
+    # builders and after an emit-parse round trip.
+    graphs = [h for h, _, _ in made]
+    graphs += [ug.parse_edge_list(ug.emit_edge_list(h)) for h in graphs]
+    for a, b in product(graphs, repeat=2):
+        same = (a.vertices, a._levels, edge_triples(a)) == (b.vertices, b._levels, edge_triples(b))
+        assert (a == b) is same
+        if same:
+            assert hash(a) == hash(b)
 
 
 # strict_threshold_subgraph and well_chained_pairs read the levels; the
@@ -1148,7 +1229,7 @@ def member_list_subdominant_matrix(g):
     n = len(g.vertices)
     ranks = np.zeros((n, n), dtype=np.int32)
     weights = [Fraction(0)]  # weight of each rank
-    for k, merges in member_list_merges(n, g._level_edges):
+    for k, merges in member_list_merges(n, edge_triples(g)):
         if merges and g._levels[k]:
             weights.append(g._levels[k])
         for a, b in merges:
@@ -1479,7 +1560,7 @@ def all_pairs_dendrogram(m):
     each vertex's nearest earlier vertex."""
     n = len(m.vertices)
     i, j = np.triu_indices(n, 1)
-    pairs = zip(i.tolist(), j.tolist(), m.rank_array()[i, j].tolist())
+    pairs = np.stack([i, j, m.rank_array()[i, j]])
     return metrics._merge_tree(m.vertices, metrics._merge_levels(n, pairs, m._values))
 
 
@@ -1589,10 +1670,12 @@ def union_find_merge_levels(n, edges, values):
         yield values[k], closers, merges, roots
 
 
-def assert_same_merges(g, edges=None):
-    n, edges = len(g.vertices), g._level_edges if edges is None else edges
-    got = list(metrics._merge_levels(n, edges, g._levels))
-    assert got == list(union_find_merge_levels(n, edges, g._levels))
+def assert_same_merges(n, columns, values):
+    """The merge core over the index edge ``columns`` against the union-find
+    body over the same edges as triples, in the same order."""
+    got = list(metrics._merge_levels(n, columns, values))
+    want = union_find_merge_levels(n, zip(*columns.tolist()), values)
+    assert got == [(w, closers, merges) for w, closers, merges, _ in want]
 
 
 @st.composite
@@ -1610,16 +1693,24 @@ def merge_core_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(merge_core_graphs(), st.randoms())
 def test_merge_core_matches_union_find(g, rng):
-    assert_same_merges(g)
-    # Callers also pass edges in other orders, as the Prim tree's.
-    assert_same_merges(g, rng.sample(g._level_edges, len(g._level_edges)))
+    n, columns = len(g.vertices), g._edge_columns
+    assert_same_merges(n, columns, g._levels)
+    # Callers also pass edges in other orders: permuted, and as the tree
+    # ``dendrogram`` merges, each vertex joined to its nearest earlier one.
+    assert_same_merges(n, columns[:, rng.sample(range(columns.shape[1]), columns.shape[1])], g._levels)
+    if ug.is_connected(g):
+        m = ug.subdominant_matrix(g)
+        k = np.arange(1, n)
+        parent = metrics._nearest_earlier(m.rank_array())[1][1:]
+        assert_same_merges(n, np.stack([k, parent, m.rank_array()[k, parent]]), m._values)
 
 
 @pytest.mark.parametrize("ks", [range(1, 1000), range(999, 0, -1), None])
 def test_merge_core_matches_union_find_on_a_deep_path(ks):
     # Increasing weights grow one cluster a vertex at a time from one end,
     # decreasing ones from the other; the seeded order mixes cluster sizes.
-    assert_same_merges(chain(1000, ks=ks))
+    g = chain(1000, ks=ks)
+    assert_same_merges(1000, g._edge_columns, g._levels)
 
 
 # A matrix is its ranks: the builders fill single-linkage clusters as
@@ -1727,9 +1818,9 @@ def forest_per_level_analysis(g):
 
     n = len(g.vertices)
     levels = [[] for _ in g._levels]
-    for i, j, k in g._level_edges:
+    for i, j, k in edge_triples(g):
         levels[k].append((i, j))
-    joined = {(i, j) for i, j, _ in g._level_edges}
+    joined = {(i, j) for i, j, _ in edge_triples(g)}
     unresolved = [
         (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in joined
     ]
@@ -1859,7 +1950,7 @@ def reference_least_ranks(g):
     _, values = forest_per_level_analysis(g)  # twice-max pairs stay at 0
     table, rank = graph._ranked((Fraction(0), *g._levels))
     ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
-    for i, j, k in [*g._level_edges, *((p, q, k) for (p, q), k in values.items())]:
+    for i, j, k in [*edge_triples(g), *((p, q, k) for (p, q), k in values.items())]:
         ranks[i, j] = ranks[j, i] = rank[k + 1]
     return table, ranks
 
