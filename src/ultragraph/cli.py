@@ -88,8 +88,8 @@ def _tolerance(text: str) -> float:
 
 def _read_graph(args) -> WeightedGraph:
     try:
-        if args.input is None or args.input == "-":
-            text = sys.stdin.read()
+        if args.input is None or args.input == "-":  # strict UTF-8, as a file, whatever the locale
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()

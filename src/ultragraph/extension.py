@@ -19,9 +19,10 @@ every pair. At a level with no closer no block is marked, and a pair is
 hit iff one edge of the level joins its two components directly. Only a
 level with a closer, which no extendable weighting has, builds the forest
 of H: it marks the blocks on each closer's x-y path, and a pair in one
-component is hit iff its forest path meets a marked block. The least
-extension and the uniqueness test need extendability, so their walk
-raises at its first closer instead.
+component is hit iff its forest path meets a marked block. The walk
+takes each level's starting roots from the merge core's root list, and
+connectivity from its last one. The least extension and the uniqueness
+test need extendability, so their walk raises at its first closer instead.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .metrics import (
     _level_slices,
     _merge_levels,
     _require_connected,
-    _settle,
     subdominant_matrix,
 )
 from .structure import find_multipartite_obstruction, multipartite_parts
@@ -88,7 +88,7 @@ def is_pseudoultrametrizable(g: WeightedGraph) -> ExtendabilityReport:
     ties never count against each other. Disconnected graphs are fine:
     components are independent for this question.
     """
-    for _, closers, _ in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
+    for _, closers, _, _ in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
         if closers:
             return ExtendabilityReport(False, _closed_cycle(g, closers[0]))
     return ExtendabilityReport(True, None)
@@ -227,18 +227,15 @@ def _twice_max_analysis(
     level = np.full(len(p), -1)
     live = np.arange(len(p))  # the pairs no level has hit yet
     label = np.arange(n)  # each vertex's root in the lighter graph
-    to = np.arange(n)  # each root's root once the level's merges are done
     cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
-    merged = 0
     columns, starts = _level_slices(g._edge_columns)  # level k's edges start at starts[k]
-    for k, closers, merges in _merge_levels(n, columns, range(len(g._levels))):
+    for k, closers, _, roots in _merge_levels(n, columns, range(len(g._levels))):
         if closers and require_extendable:
             raise NotExtendableError(_closed_cycle(g, closers[0]))
         if not len(live):  # so connected: a pair of two components stays live
             if require_extendable:
                 continue
             break
-        merged += len(merges)
         lp, lq = label[p[live]], label[q[live]]
         ra, rb = label[columns[:2, starts[k]:starts[k + 1]]]  # the level's starting roots
         cross[ra, rb] = cross[rb, ra] = True
@@ -250,9 +247,8 @@ def _twice_max_analysis(
             hit[same] = (piece[p[live]] != piece[q[live]])[same]
         level[live[hit]] = k
         live = live[~hit]
-        _settle(to, merges)
-        label = to[label]
-    if len(live) and merged < n - 1:
+        label = np.fromiter(roots, np.intp, n)  # a copy: the core's next level changes its roots
+    if len(live) and (label != label[0]).any():
         _require_connected(g)  # raises, naming two components
     return p, q, level
 
@@ -265,13 +261,12 @@ def twice_max_pairs(g: WeightedGraph) -> PairSet:
 
 
 def _zero_classes(g: WeightedGraph) -> np.ndarray:
-    """Each vertex's class in the subgraph of zero-weight edges, as the class's last root."""
+    """Each vertex's class in the subgraph of zero-weight edges, as the class's root."""
     columns = g._edge_columns  # level 0, when its weight is 0
     zero = columns.compress((columns[2] == 0) & (g._levels[:1] == (0,)), axis=1)
-    home = np.arange(len(g.vertices))
-    for _, _, merges in _merge_levels(len(g.vertices), zero, g._levels):  # one level
-        _settle(home, merges)
-    return home
+    for _, _, _, roots in _merge_levels(len(g.vertices), zero, g._levels):  # one level, if any
+        return np.array(roots)
+    return np.arange(len(g.vertices))
 
 
 def well_chained_pairs(g: WeightedGraph) -> PairSet:

@@ -92,7 +92,8 @@ def to_weight(value) -> Weight:
     ("1/4") notation. Floats are rejected: their binary value is almost
     never the decimal the caller had in mind, and exact equality of
     weights is semantically load-bearing here. A string past
-    ``_LITERAL_LIMIT`` in length or exponent is a ValueError.
+    ``_LITERAL_LIMIT`` in length or exponent, or with a zero denominator,
+    is a ValueError.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -101,7 +102,10 @@ def to_weight(value) -> Weight:
         )
     if isinstance(value, str) and _too_large(value):
         raise ValueError(_TOO_LARGE)
-    w = Fraction(value)
+    try:
+        w = Fraction(value)
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(f"weight literal {value!r} has a zero denominator") from None
     if w < 0:
         raise NegativeWeightError(f"weight {w} is negative")
     return w

@@ -55,14 +55,12 @@ from .metrics import Dendrogram, DistanceMatrix, _from_cells
 _PLAIN = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def _literal_value(text, line: int | None = None) -> Fraction:
+def _literal_value(text: str, line: int | None = None) -> Fraction:
     """Exact value of a weight literal; refuses literals too large to convert.
     ``Fraction`` reads every literal but the plain forms of ``_PLAIN``."""
-    plain = None
-    if isinstance(text, str):
-        if _too_large(text):
-            raise ParseError(_TOO_LARGE, line=line)
-        plain = _PLAIN.fullmatch(text)
+    if _too_large(text):
+        raise ParseError(_TOO_LARGE, line=line)
+    plain = _PLAIN.fullmatch(text)
     try:
         if plain is None:
             return Fraction(text)
@@ -85,7 +83,10 @@ def _check_digits(digits: int) -> int:
 
 
 def parse_weight(text: str) -> Weight:
-    """Exact nonnegative weight from a decimal or ``p/q`` literal."""
+    """Exact nonnegative weight from a decimal or ``p/q`` literal; any other
+    argument goes to ``to_weight``, which refuses floats."""
+    if not isinstance(text, str):
+        return to_weight(text)
     w = _literal_value(text)
     return w if w.numerator >= 0 else to_weight(w)  # NegativeWeightError
 

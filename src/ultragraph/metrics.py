@@ -14,13 +14,13 @@ construction: ``_CHECKS`` lists each class's checks for ``validate`` and
 strong triangle is certified in O(n²) by each vertex's nearest earlier
 vertex, scanned only for a witness. ``_merge_levels`` is the one
 single-linkage core: it reads a graph's edge columns, grouped into levels
-by one stable sort of the level column, and builds no per-edge tuple but
-a closer's. Every cluster is an interval of one leaf order, so a builder
-fills two slices per merge (``_fill_intervals``). Floyd–Warshall,
-the plain triangle, ``compare`` and the exponent run on the values times
-the lcm of their denominators, exact integers in int32, int64 or Python
-ints, whichever twice the largest fits first (``_as_array``), unless that
-lcm is wider than ``graph._SCALE_BITS``.
+by one stable sort of the level column, builds no per-edge tuple but a
+closer's and yields its own root list. Every cluster is an interval of one
+leaf order, so a builder fills two slices per merge (``_fill_intervals``).
+Floyd–Warshall, the plain triangle, ``compare`` and the exponent run on
+the values times the lcm of their denominators, exact integers in int32,
+int64 or Python ints, whichever twice the largest fits first
+(``_as_array``), unless that lcm is wider than ``graph._SCALE_BITS``.
 """
 
 from __future__ import annotations
@@ -338,11 +338,13 @@ def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight]):
     """Kruskal pass over the index edges ``columns`` ``(i, j, k)`` of weight
     ``values[k]``, one weight level at a time; ``values`` must be increasing.
 
-    Yields ``(w, closers, merges)`` per level present, increasing.
+    Yields ``(w, closers, merges, roots)`` per level present, increasing.
     ``closers`` are the level's edges ``(i, j, k)`` whose endpoints strictly
     lighter edges already joined; ``merges`` lists each union in edge order as
     ``(ra, rb, sa, sb)``, the roots and sizes of the two clusters it fused,
     survivor first. Each root leads its cluster in ``_fill_intervals``' order.
+    ``roots`` is each vertex's root once the level's merges are done: the
+    core's own list, not a copy, so the next level changes it.
     Quick-find: ``label`` holds each vertex's root and each root its members,
     so a merge relabels the smaller cluster, O(n log n) relabels in all.
     """
@@ -364,14 +366,7 @@ def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight]):
             for v in mb:
                 label[v] = ra
             ma += mb
-        yield values[k], closers, merges
-
-
-def _settle(root: np.ndarray, merges: list) -> None:
-    """Point each root that a level's ``merges`` fused away at its cluster's
-    root after them; ``root`` maps the level's other starting roots to themselves."""
-    for ra, rb, _, _ in reversed(merges):  # a later merge settled ra
-        root[rb] = root[ra]
+        yield values[k], closers, merges, label
 
 
 def _fill_intervals(n: int, merges: list, fill: int) -> np.ndarray:
@@ -399,7 +394,7 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     """
     _require_connected(g)
     weights, merges = [Fraction(0)], []  # weight of each rank; merges with their rank
-    for w, _, level in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
+    for w, _, level, _ in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
         if level and w:
             weights.append(w)
         merges += [(*m, len(weights) - 1) for m in level]
@@ -555,7 +550,7 @@ def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
         return label, Dendrogram(Fraction(0), (), label)
 
     root = 0
-    for w, _, merges in levels:
+    for w, _, merges, _ in levels:
         if not w:
             for root, rb, _, _ in merges:
                 first[root] = min(first[root], first[rb])
@@ -579,7 +574,7 @@ def subdominant_dendrogram(g: WeightedGraph) -> Dendrogram:
     like ``subdominant_matrix``.
     """
     levels = list(_merge_levels(len(g.vertices), g._edge_columns, g._levels))
-    if sum(len(merges) for _, _, merges in levels) < len(g.vertices) - 1:
+    if sum(len(merges) for _, _, merges, _ in levels) < len(g.vertices) - 1:
         _require_connected(g)  # raises, naming two components
     return _merge_tree(g.vertices, levels)
 

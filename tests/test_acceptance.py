@@ -286,7 +286,8 @@ def test_criterion_10_io_determinism(corpus_2_8, monkeypatch, capsys):
             assert ug.emit_matrix(ug.parse_matrix(emitted, fmt), fmt) == emitted
 
     def run_cli(argv, stdin_text):
-        monkeypatch.setattr("sys.stdin", iomod.StringIO(stdin_text))
+        stdin = iomod.TextIOWrapper(iomod.BytesIO(stdin_text.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         code = cli_main(argv)
         out, err = capsys.readouterr()
         return code, out, err

@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, error lines."""
 
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -18,8 +20,14 @@ UNIT_C4 = "a b 1\nb c 1\nc d 1\na d 1\n"
 ALT_C4 = "a b 1\nb c 2\nc d 1\na d 2\n"
 
 
+def fake_stdin(text):
+    """A text stream over the UTF-8 bytes of ``text``, with the ``buffer``
+    the command line reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def run(argv, stdin_text="", monkeypatch=None, capsys=None):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    monkeypatch.setattr("sys.stdin", fake_stdin(stdin_text))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -456,6 +464,25 @@ class TestInputHandling:
         f.write_bytes(b"a b \xff\n")
         self.assert_unreadable(cli(["check", "-i", str(f)]))
 
+    def test_stdin_and_a_file_decode_bad_utf8_alike_in_the_c_locale(self, tmp_path):
+        # The C locale's text layer would read 0xff as "\udcff" from stdin.
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"a\xff b 1\nb c 2\n")
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(LC_ALL="C", PYTHONPATH=src)
+
+        def check(*argv, **kwargs):
+            command = [sys.executable, "-m", "ultragraph.cli", "check", *argv]
+            return subprocess.run(command, env=env, capture_output=True, **kwargs)
+
+        with open(f, "rb") as fh:
+            by_stdin = check(stdin=fh)
+        for done in (by_stdin, check("-i", str(f))):
+            assert (done.returncode, done.stdout) == (2, b"")
+            assert done.stderr == (b"parse-error: cannot read input: 'utf-8' codec can't decode "
+                                   b"byte 0xff in position 1: invalid start byte\n")
+
     # Without the byte-order mark this text exits 2 with duplicate-edge.
     BOM_REPEAT = "\ufeffa b 1\nb a 2"
 
@@ -488,7 +515,7 @@ class TestInputHandling:
 
 class TestUsageErrors:
     def test_unknown_command(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setattr("sys.stdin", fake_stdin(""))
         with pytest.raises(SystemExit) as excinfo:
             main(["bogus"])
         assert excinfo.value.code == 2
@@ -497,7 +524,7 @@ class TestUsageErrors:
         assert err.count("\n") == 1
 
     def test_no_command(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setattr("sys.stdin", fake_stdin(""))
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
@@ -512,7 +539,7 @@ class TestUsageErrors:
         + [["exponent", "--tol", value] for value in ("0", "-1", "nan", "inf", "x")],
     )
     def test_out_of_range_numeric_options(self, monkeypatch, capsys, argv):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1/3\nb c 1\na c 1\n"))
+        monkeypatch.setattr("sys.stdin", fake_stdin("a b 1/3\nb c 1\na c 1\n"))
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -537,14 +564,14 @@ class TestUsageErrors:
     )
     def test_line_break_in_an_unrecognized_argument_is_escaped(self, monkeypatch, capsys,
                                                                brk, escaped):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
+        monkeypatch.setattr("sys.stdin", fake_stdin("a b 1\n"))
         with pytest.raises(SystemExit) as excinfo:
             main(["check", f"a{brk}b", "c"])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err == f"usage-error: unrecognized arguments: a{escaped}b c\n"
 
     def test_bad_format_choice(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
+        monkeypatch.setattr("sys.stdin", fake_stdin("a b 1\n"))
         with pytest.raises(SystemExit) as excinfo:
             main(["subdominant", "--format", "yaml"])
         assert excinfo.value.code == 2

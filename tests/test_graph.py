@@ -49,6 +49,21 @@ class TestWeights:
             with pytest.raises(ValueError, match="exponent beyond 1000"):
                 ug.build_graph(["a", "b"], [("a", "b", text)])
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " 5/0 "])
+    def test_zero_denominator_is_a_value_error_at_every_entry_point(self, text):
+        # Like every other bad literal, not a ZeroDivisionError.
+        g = ug.build_graph(["a", "b", "c"], [("a", "b", 1)])
+        calls = [
+            lambda: ug.to_weight(text),
+            lambda: ug.build_graph(["a", "b"], [("a", "b", text)]),
+            lambda: ug.distance_matrix(["a", "b"], [["0", text], [text, "0"]]),
+            lambda: ug.strict_threshold_subgraph(g, text),
+            lambda: ug.augment(g, 0, {1: text}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"weight literal {text!r} has a zero denominator"):
+                call()
+
 
 class TestBuildGraph:
     def test_vertex_order_preserved(self):

@@ -31,6 +31,20 @@ class TestParseWeight:
         with pytest.raises(ug.NegativeWeightError):
             ug.parse_weight("-2")
 
+    def test_non_strings_are_read_as_to_weight_reads_them(self):
+        # Floats are refused: the binary value of 0.1 is not 1/10.
+        for x in (0.1, 0.5, -0.5):
+            with pytest.raises(TypeError, match="float"):
+                ug.parse_weight(x)
+        assert ug.parse_weight(3) == 3
+        assert ug.parse_weight(Fraction(1, 3)) == Fraction(1, 3)
+        with pytest.raises(ug.NegativeWeightError):
+            ug.parse_weight(-1)
+        # The same values as strings are read as literals.
+        assert [ug.parse_weight(t) for t in ("0.1", "0.5")] == [Fraction(1, 10), Fraction(1, 2)]
+        with pytest.raises(ug.NegativeWeightError):
+            ug.parse_weight("-0.5")
+
     def test_size_caps(self):
         # Exponents and lengths just past the cap are refused before any
         # Fraction is built; the cap itself still parses.

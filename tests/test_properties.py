@@ -1644,7 +1644,8 @@ def test_a_caterpillar_round_trips_to_the_subdominant_matrix():
 
 def union_find_merge_levels(n, edges, values):
     """``metrics._merge_levels`` as a union-find with path halving and union
-    by size, the body the quick-find core replaced."""
+    by size, the body the quick-find core replaced; each level's roots are
+    every vertex's ``find`` once its merges are done."""
     parent, size = list(range(n)), [1] * n
 
     def find(i):
@@ -1667,15 +1668,16 @@ def union_find_merge_levels(n, edges, values):
             merges.append((ra, rb, size[ra], size[rb]))
             parent[rb] = ra
             size[ra] += size[rb]
-        yield values[k], closers, merges, roots
+        yield values[k], closers, merges, [find(v) for v in range(n)]
 
 
 def assert_same_merges(n, columns, values):
     """The merge core over the index edge ``columns`` against the union-find
-    body over the same edges as triples, in the same order."""
-    got = list(metrics._merge_levels(n, columns, values))
-    want = union_find_merge_levels(n, zip(*columns.tolist()), values)
-    assert got == [(w, closers, merges) for w, closers, merges, _ in want]
+    body over the same edges as triples, in the same order. The core hands
+    out one root list that each level changes, so its roots are copied."""
+    got = [(w, closers, merges, list(roots))
+           for w, closers, merges, roots in metrics._merge_levels(n, columns, values)]
+    assert got == list(union_find_merge_levels(n, zip(*columns.tolist()), values))
 
 
 @st.composite
@@ -1943,6 +1945,24 @@ def test_the_subdominant_tree_takes_connectivity_from_its_merges(g):
     assert got == apart if apart else isinstance(got, ug.Dendrogram)
     # A search only to name two components of a disconnected graph.
     assert bfs.call_count == (1 if apart else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_graphs())
+def test_the_twice_max_walk_searches_components_only_to_name_them(g):
+    # The walk reads connectivity off the merge core's last roots.
+    comps = ug.connected_components(g).blocks
+    apart = len(comps) > 1 and (ug.DisconnectedError, str(ug.DisconnectedError(comps[0][0], comps[1][0])))
+    with mock.patch.object(metrics, "connected_components", wraps=graph.connected_components) as bfs:
+        got = outcome(ug.twice_max_pairs, g)
+        assert got == apart if apart else isinstance(got, frozenset)
+        assert bfs.call_count == (1 if apart else 0)
+        bfs.reset_mock()
+        got = outcome(ug.is_unique_extension, g)  # a closer may come first
+        assert bfs.call_count == (1 if apart and got == apart else 0)
+        bfs.reset_mock()
+        outcome(ug.least_extension, g)  # complete multipartite, so connected
+        assert bfs.call_count == 0
 
 
 def reference_least_ranks(g):

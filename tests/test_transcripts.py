@@ -97,7 +97,7 @@ def corpus() -> list[str]:
 
 def run(argv: list[str], text: str) -> tuple:
     out, err = io.StringIO(), io.StringIO()
-    stdin = io.StringIO(text)
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     with redirect_stdout(out), redirect_stderr(err):
         saved, sys.stdin = sys.stdin, stdin
         try:
