@@ -12,17 +12,16 @@ edge. With H the strictly lighter subgraph, pair {p,q} has such a path
 through edge e = {x,y} iff H + e has a simple p-q path through e. If e
 joins two components of H, it is a bridge of H + e, and p and q must lie
 one in each. Otherwise e closes a cycle with a unique maximum (it is a
-closer), it merges the blocks on the x-y path of H's block-cut forest
-into one block, and an edge of a block lies on a simple p-q path iff the
-block lies on the forest path from p to q. So the merge levels decide
-every pair. At a level with no closer no block is marked, and a pair is
-hit iff one edge of the level joins its two components directly. Only a
-level with a closer, which no extendable weighting has, builds the forest
-of H: it marks the blocks on each closer's x-y path, and a pair in one
-component is hit iff its forest path meets a marked block. The walk
-takes each level's starting roots from the merge core's root list, and
-connectivity from its last one. The least extension and the uniqueness
-test need extendability, so their walk raises at its first closer instead.
+closer), and an edge of a block lies on a simple p-q path iff the block
+lies on the forest path from p to q. So the merge levels decide every
+pair. At a level with no closer, a pair is hit iff one edge of the level
+joins its two components directly. Only a level with a closer, which no
+extendable weighting has, builds a block forest: that of H plus the
+level's closers, where a pair in one component is hit iff its forest
+path meets a block holding a closer. The walk takes each level's
+starting roots from the merge core's root list, and connectivity from
+its last one. The least extension and the uniqueness test need
+extendability, so their walk raises at its first closer instead.
 """
 
 from __future__ import annotations
@@ -133,12 +132,12 @@ def _block_forest(adj: Sequence[Sequence[int]]):
     """Block-vertex forest of index adjacency lists, by iterative Hopcroft–Tarjan.
 
     Nodes ``0..n-1`` are the vertices, then one node per block, whose
-    parent is the vertex the search entered it from. Returns each
-    vertex's component root, each node's parent (-1 at roots), the
-    vertices in discovery order, and node keys that grow from parent to child.
+    parent is the vertex the search entered it from. Returns each node's
+    parent (-1 at roots), the vertices in discovery order, and each
+    vertex's discovery time.
     """
     n = len(adj)
-    disc, low, root, parent = [-1] * n, [0] * n, list(range(n)), [-1] * n
+    disc, low, parent = [-1] * n, [0] * n, [-1] * n
     order: list[int] = []
     for r in range(n):
         if disc[r] >= 0:
@@ -162,39 +161,28 @@ def _block_forest(adj: Sequence[Sequence[int]]):
             elif disc[v] < 0:
                 disc[v] = low[v] = len(order)
                 order.append(v)
-                root[v] = r
                 stack.append(v)
                 work.append((v, iter(adj[v])))
             else:
                 low[u] = min(low[u], disc[v])
-    key = [2 * d for d in disc] + [2 * disc[u] + 1 for u in parent[n:]]
-    return root, parent, order, key
+    return parent, order, disc
 
 
 def _pieces(adj: Sequence[Sequence[int]], closers: list[tuple[int, int, int]]) -> np.ndarray:
-    """Each vertex's piece of the lighter graph ``adj`` (``_lighter`` at the
-    closers' level) once the blocks on every closer's forest path are cut:
-    two vertices of one component lie in different pieces iff their forest
-    path meets a marked block."""
-    _, parent, order, key = _block_forest(adj)
-    # Mark each closer's forest path, jumping over the nodes earlier paths marked.
+    """Each vertex's piece of ``adj``, the lighter graph H plus one level's
+    closers, once each block holding a closer is cut: two vertices of one
+    component lie in different pieces iff their forest path meets such a block.
+
+    A closer's ends are joined in H, so it merges exactly the blocks on its
+    path in H's forest: a pair's path meets a block holding a closer iff its
+    path in H's forest meets a block on some closer's path. The search meets
+    each edge {x, y} as a tree or back edge, in the block ``parent[v]`` of
+    its later-found end v.
+    """
+    parent, order, disc = _block_forest(adj)
     hot = [False] * len(parent)
-    top = list(range(len(parent)))
-
-    def find(a: int) -> int:
-        while top[a] != a:
-            top[a] = top[top[a]]
-            a = top[a]
-        return a
-
     for x, y, _ in closers:
-        a, b = find(x), find(y)
-        while a != b:
-            if key[a] < key[b]:
-                a, b = b, a
-            hot[a], top[a] = True, parent[a]
-            a = find(a)
-        hot[a] = True
+        hot[parent[x if disc[x] > disc[y] else y]] = True
     piece = list(range(len(adj)))
     for v in order:
         if parent[v] >= 0 and not hot[parent[v]]:
@@ -241,8 +229,10 @@ def _twice_max_analysis(
         cross[ra, rb] = cross[rb, ra] = True
         hit = cross[lp, lq]
         cross[ra, rb] = cross[rb, ra] = False
-        if closers:
-            piece = _pieces(_lighter(g, k), closers)
+        if closers:  # the lighter edges and the closers: ends with one starting root
+            upto = columns[:, :starts[k + 1]]
+            upto = upto.compress(label[upto[0]] == label[upto[1]], axis=1)
+            piece = _pieces(_csr(n, upto), closers)
             same = lp == lq  # not np.where: its first call adds about 0.3 MB of RSS
             hit[same] = (piece[p[live]] != piece[q[live]])[same]
         level[live[hit]] = k

@@ -126,7 +126,9 @@ def _terminating_decimal(w: Fraction) -> str | None:
 
 
 def format_weight(w) -> str:
-    """Shortest terminating decimal if one exists, else ``p/q``."""
+    """Shortest terminating decimal if one exists, else ``p/q``; floats are refused."""
+    if isinstance(w, float):
+        to_weight(w)  # TypeError
     w = Fraction(w)
     return _terminating_decimal(w) or f"{_digits(w.numerator)}/{_digits(w.denominator)}"
 
@@ -321,6 +323,8 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
         _check_digits(approx_digits)
 
     def fmt(length: Fraction) -> str:
+        if isinstance(length, float):  # from a float height
+            to_weight(length)  # TypeError
         exact = _terminating_decimal(length)
         if exact is not None:
             return exact

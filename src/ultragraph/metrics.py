@@ -42,6 +42,7 @@ from .errors import (
     NotPseudometricError,
     NotPseudoultrametricError,
     NotUltrametricError,
+    UnknownVertexError,
     VertexMismatchError,
 )
 from .graph import (
@@ -112,7 +113,10 @@ class DistanceMatrix:
         return tuple(map(tuple, np.array(self._values, dtype=object)[self._ranks].tolist()))
 
     def entry(self, u: Vertex, v: Vertex) -> Weight:
-        return self._values[self._ranks[self._index[u], self._index[v]]]
+        try:
+            return self._values[self._ranks[self._index[u], self._index[v]]]
+        except KeyError as e:
+            raise UnknownVertexError(f"unknown vertex {e.args[0]!r}") from None
 
     def rank_array(self) -> np.ndarray:
         """Read-only integer recoding of the entries (order-isomorphic)."""
@@ -623,11 +627,11 @@ def matrix_from_dendrogram(
             sa += sb
         tops[id(nodes[code])] = (ra, sa)
     codes = _fill_intervals(len(verts), merges, len(nodes))
-    # Each used distance converted once, in row-major order: the first bad one errs.
-    dist = [2 * node.height for node in nodes] + [Fraction(0)]
+    # Each used height converted once, in row-major order: the first bad one errs.
+    heights = [node.height for node in nodes] + [Fraction(0)]
     used = list(dict.fromkeys(codes.ravel().tolist()))
-    values, ranks = _ranked([to_weight(dist[c]) for c in used])
-    recode = np.zeros(len(dist), dtype=np.int32)
+    values, ranks = _ranked([2 * to_weight(heights[c]) for c in used])
+    recode = np.zeros(len(heights), dtype=np.int32)
     recode[used] = ranks
     return _from_values(verts, values, recode[codes])
 

@@ -219,12 +219,11 @@ class TestTwiceMaxPairs:
         n = 5000
         adj = [[i - 1, i + 1] for i in range(n)]
         adj[0], adj[-1] = [1], [n - 2]
-        root, parent, order, key = _block_forest(adj)
-        assert root == [0] * n and order == list(range(n))
+        parent, order, disc = _block_forest(adj)
+        assert order == disc == list(range(n))
         assert len(parent) == 2 * n - 1 and parent[0] == -1
         for v in range(1, n):
             assert parent[parent[v]] == v - 1
-            assert key[v - 1] < key[parent[v]] < key[v]
 
     def test_disconnected_rejected(self):
         g = ug.build_graph(["a", "b", "c"], [("a", "b", 1)])

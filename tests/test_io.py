@@ -83,6 +83,13 @@ class TestFormatWeight:
         for w in (Fraction(0), Fraction(1, 2), Fraction(22, 7), Fraction(9)):
             assert ug.parse_weight(ug.format_weight(w)) == w
 
+    def test_floats_are_refused_and_negatives_written(self):
+        for w in (0.1, 0.5, -0.5):
+            with pytest.raises(TypeError, match="refusing to build an exact weight from float"):
+                ug.format_weight(w)
+        assert ug.format_weight(Fraction(-1, 2)) == "-0.5"
+        assert ug.format_weight(-3) == "-3"
+
     def test_past_the_integer_to_text_limit(self):
         # 3**9000 has 4,295 digits, 3**9100 has 4,342: past the limit of
         # 4,300 a DigitLimitError, not the interpreter's ValueError.
@@ -552,6 +559,12 @@ class TestNewick:
         assert ug.emit_newick(d, approx_digits=0) == "(a:0[1/3],b:0[1/3]);"
         out = ug.emit_newick(d, approx_digits=1000)
         assert out.startswith("(a:0." + "3" * 1000 + "[1/3]")
+
+    def test_a_float_height_is_refused(self):
+        leaves = (ug.Dendrogram(Fraction(0), (), "a"), ug.Dendrogram(Fraction(0), (), "b"))
+        for height in (0.5, 1.0):
+            with pytest.raises(TypeError, match="refusing to build an exact weight from float"):
+                ug.emit_newick(ug.Dendrogram(height, leaves))
 
     def test_metacharacter_labels_are_quoted(self):
         m = ug.distance_matrix(

@@ -92,6 +92,13 @@ class TestClassification:
         assert m.entry("a", "b") == 7
         assert m.entry("b", "b") == 0
 
+    def test_entry_of_an_unknown_vertex(self):
+        m = mat(["a", "b"], (0, 7), (7, 0))
+        for args in (("a", "z"), ("z", "a")):
+            with pytest.raises(ug.UnknownVertexError) as info:
+                m.entry(*args)
+            assert str(info.value) == "unknown vertex 'z'"
+
 
 class TestValidate:
     def test_pass(self):
@@ -388,6 +395,20 @@ class TestDendrogram:
         d = ug.dendrogram(m)
         with pytest.raises(ug.VertexMismatchError):
             ug.matrix_from_dendrogram(d, ["a", "z"])
+
+    def test_from_dendrogram_doubles_each_height_as_a_weight(self):
+        def pair(height):
+            leaves = (ug.Dendrogram(Fraction(0), (), "a"), ug.Dendrogram(Fraction(0), (), "b"))
+            return ug.matrix_from_dendrogram(ug.Dendrogram(height, leaves))
+
+        assert pair("3").entry("a", "b") == 6
+        assert pair("1/2").entry("a", "b") == 1
+        with pytest.raises(TypeError, match="float"):
+            pair(0.5)
+        for height, message in ((-1, "weight -1 is negative"), ("-1/2", "weight -1/2 is negative")):
+            with pytest.raises(ug.NegativeWeightError) as info:
+                pair(height)
+            assert str(info.value) == message
 
 
 class TestBetweennessExponent:

@@ -14,9 +14,10 @@ from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 import ultragraph as ug
 from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, io, metrics, oracle
@@ -1190,13 +1191,12 @@ def reference_matrix_from_dendrogram(d, vertices=None):
     rows = [[Fraction(0)] * n for _ in range(n)]
     for node in d._preorder():
         groups = [ch.leaves() for ch in node.children]
-        dist = 2 * node.height
         for gi, gj in combinations(groups, 2):
             for a in gi:
                 for b in gj:
-                    rows[idx[a]][idx[b]] = dist
-                    rows[idx[b]][idx[a]] = dist
-    return ug.distance_matrix(verts, rows)
+                    rows[idx[a]][idx[b]] = node.height
+                    rows[idx[b]][idx[a]] = node.height
+    return ug.distance_matrix(verts, [[2 * ug.to_weight(h) for h in row] for row in rows])
 
 
 def member_list_merges(n, edges):
@@ -1255,10 +1255,10 @@ def member_list_matrix_from_dendrogram(d, vertices=None):
             codes[np.ix_(kid, run)] = codes[np.ix_(run, kid)] = code
             run += kid
         below[id(nodes[code])] = run
-    dist = [2 * node.height for node in nodes] + [Fraction(0)]
+    heights = [node.height for node in nodes] + [Fraction(0)]
     used = list(dict.fromkeys(codes.ravel().tolist()))
-    values, ranks = graph._ranked([ug.to_weight(dist[c]) for c in used])
-    recode = np.zeros(len(dist), dtype=np.int32)
+    values, ranks = graph._ranked([2 * ug.to_weight(heights[c]) for c in used])
+    recode = np.zeros(len(heights), dtype=np.int32)
     recode[used] = ranks
     return metrics._from_values(verts, values, recode[codes])
 
@@ -1305,7 +1305,7 @@ def test_quotient_matches_the_per_cell_path(m, wide):
 
 
 LEAF_LABELS = [f"v{i}" for i in range(8)]
-GOOD_HEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), 2, Fraction(5, 7)]
+GOOD_HEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), 2, Fraction(5, 7), "3", "1/2"]
 BAD_HEIGHTS = [0.5, 1.0, -1, Fraction(-1, 2)]
 
 
@@ -1813,6 +1813,45 @@ def test_no_library_path_builds_entries():
 # only at levels with a closer, against the body that built one per level.
 
 
+def reference_block_forest(adj):
+    """Block-vertex forest of index adjacency lists, by iterative
+    Hopcroft–Tarjan: each vertex's component root, each node's parent (the
+    vertices, then one node per block), the vertices in discovery order,
+    and node keys that grow from parent to child."""
+    n = len(adj)
+    disc, low, root, parent = [-1] * n, [0] * n, list(range(n)), [-1] * n
+    order = []
+    for r in range(n):
+        if disc[r] >= 0:
+            continue
+        disc[r] = low[r] = len(order)
+        order.append(r)
+        stack, work = [r], [(r, iter(adj[r]))]
+        while work:
+            u, nbs = work[-1]
+            v = next(nbs, -1)
+            if v < 0:
+                work.pop()
+                if not work:
+                    continue
+                pu = work[-1][0]
+                low[pu] = min(low[pu], low[u])
+                if low[u] >= disc[pu]:  # pu and u's subtree form a block
+                    parent.append(pu)
+                    while disc[stack[-1]] >= disc[u]:
+                        parent[stack.pop()] = len(parent) - 1
+            elif disc[v] < 0:
+                disc[v] = low[v] = len(order)
+                order.append(v)
+                root[v] = r
+                stack.append(v)
+                work.append((v, iter(adj[v])))
+            else:
+                low[u] = min(low[u], disc[v])
+    key = [2 * d for d in disc] + [2 * disc[u] + 1 for u in parent[n:]]
+    return root, parent, order, key
+
+
 def forest_per_level_analysis(g):
     """(the twice-max index pairs in row-major order, the level of each
     other nonadjacent pair), one block-vertex forest per weight level."""
@@ -1831,7 +1870,7 @@ def forest_per_level_analysis(g):
     for w, batch in enumerate(levels):
         if not unresolved:
             break
-        comp, parent, order, key = ug.extension._block_forest(adj)
+        comp, parent, order, key = reference_block_forest(adj)
         hot = [False] * len(parent)
         top = list(range(len(parent)))
 
@@ -1933,6 +1972,80 @@ def test_twice_max_analysis_matches_the_forest_per_level_body(g):
     # The unresolved list in order, the pair -> level map, and the
     # DisconnectedError with its message.
     assert outcome(merge_walk_analysis, g) == outcome(forest_per_level_analysis, g)
+
+
+@st.composite
+def shuffled_adjacency(draw):
+    """Index adjacency lists, each in random order: blocks (an edge, a
+    cycle or a small clique) glued at one vertex or starting a new
+    component, a few chords, and isolated vertices."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    n, edges = 1, set()
+    for _ in range(rng.randint(0, 6)):
+        size, glue = rng.randint(2, 5), rng.random() < 0.8  # glued at an earlier vertex?
+        block = [rng.randrange(n)] * glue + list(range(n, n + size - glue))
+        n += size - glue
+        if rng.random() < 0.5:  # a clique
+            edges |= set(combinations(block, 2))
+        else:  # a cycle, or one edge
+            edges |= {tuple(sorted(e)) for e in zip(block, block[1:] + block[:1])}
+    n += rng.randint(0, 3)  # isolated vertices
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2)) if n > 1}
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for nbs in adj:
+        rng.shuffle(nbs)
+    return adj
+
+
+PATH_5000 = [[1], *([i - 1, i + 1] for i in range(1, 4999)), [4998]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_adjacency())
+@example(PATH_5000)
+def test_every_edge_lies_in_the_block_of_its_later_found_end(adj):
+    n = len(adj)
+    parent, order, disc = ug.extension._block_forest(adj)
+    assert sorted(order) == list(range(n)) and [disc[v] for v in order] == list(range(n))
+    members = {b: {parent[b]} for b in range(n, len(parent))}
+    for v in range(n):
+        if parent[v] >= 0:
+            members[parent[v]].add(v)
+    for x in range(n):
+        for y in adj[x]:
+            b = parent[x if disc[x] > disc[y] else y]
+            assert b >= n and {x, y} <= members[b]  # its parent vertex or one of its children
+    h = nx.Graph((x, y) for x in range(n) for y in adj[x])  # the blocks are its biconnected components
+    assert sorted(map(sorted, members.values())) == sorted(map(sorted, nx.biconnected_components(h)))
+
+
+@st.composite
+def closer_dense_graphs(draw):
+    """A connected graph on 2 to 14 vertices: a random spanning tree at
+    weight 0, and 1 to 3 higher levels, each holding several chords of the
+    tree, which close cycles, so tree paths of one level's closers often
+    share a block. A few tree edges are lifted to a chord level."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    n = rng.randint(2, draw(st.sampled_from((8, 14))))
+    levels = rng.randint(1, 3)
+    tree = {(rng.randrange(i), i) for i in range(1, n)}
+    weights = {e: (rng.randint(1, levels) if rng.random() < 0.15 else 0) for e in tree}
+    chords = [e for e in combinations(range(n), 2) if e not in tree]
+    for e in rng.sample(chords, min(len(chords), rng.randint(levels, 4 * levels))):
+        weights[e] = rng.randint(1, levels)
+    names = [f"v{i}" for i in range(n)]
+    return ug.build_graph(names, [(names[i], names[j], w) for (i, j), w in sorted(weights.items())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(closer_dense_graphs())
+def test_closer_levels_match_the_forest_per_level_body(g):
+    assert outcome(merge_walk_analysis, g) == outcome(forest_per_level_analysis, g)
+    if len(g.vertices) <= 8:
+        assert ug.twice_max_pairs(g) == oracle.oracle_twice_max(g)
 
 
 @settings(max_examples=200, deadline=None)
