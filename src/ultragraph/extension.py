@@ -277,11 +277,12 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
 def least_extension(g: WeightedGraph) -> DistanceMatrix:
     """Smallest pseudoultrametric extending the weighting.
 
-    Exists precisely on complete multipartite graphs with at least two
-    parts (given extendability). Nonadjacent pairs get 0 when no
-    connecting path has a unique maximal edge, else the weight of such a
-    path's dominant edge; that value is path-independent on this graph
-    class, which the final axiom check re-asserts.
+    Computed on complete multipartite graphs with at least two parts, where
+    every extendable weighting has one (the paper's theorem); other graphs
+    have one only for some weightings and are refused. Nonadjacent pairs
+    get 0 when no connecting path has a unique maximal edge, else the
+    weight of such a path's dominant edge; that value is path-independent
+    on this graph class, which the final axiom check re-asserts.
     """
     parts = multipartite_parts(g)
     if parts is None:

@@ -44,6 +44,7 @@ from .graph import (
     Weight,
     WeightedGraph,
     _assemble,
+    _rescale,
     _too_large,
     to_weight,
 )
@@ -53,6 +54,9 @@ from .metrics import Dendrogram, DistanceMatrix, _from_cells
 # The forms format_weight writes, read without Fraction's grammar: an
 # integer, a ratio or a decimal, in ASCII digits.
 _PLAIN = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+# Whitespace or a Newick metacharacter: a label holding one is quoted. The
+# regex is compiled once, on first use, by the ``re`` module's cache.
+_QUOTED = r"[\s()\[\]':;,]"
 
 
 def _literal_value(text: str, line: int | None = None) -> Fraction:
@@ -103,23 +107,26 @@ def _digits(k: int) -> str:
         ) from None
 
 
-def _terminating_decimal(w: Fraction) -> str | None:
-    """Shortest decimal spelling of ``w``, or None when it does not terminate."""
-    den = w.denominator
+def _terminating_decimal(num: int, den: int) -> str | None:
+    """Shortest decimal spelling of ``num / den``, ``den`` positive and the two
+    not necessarily coprime, or None when it does not terminate."""
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+        rest, twos = rest // 2, twos + 1
     while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+        rest, fives = rest // 5, fives + 1
+    if num % rest:
         return None
+    num //= rest
+    while twos and num % 2 == 0:  # cancel the factors num and den share
+        num, twos = num // 2, twos - 1
+    while fives and num % 5 == 0:
+        num, fives = num // 5, fives - 1
     k = max(twos, fives)
     if k == 0:
-        return _digits(w.numerator)
-    scaled = w.numerator * 10**k // den
+        return _digits(num)
+    scaled = num * 2 ** (k - twos) * 5 ** (k - fives)
     sign = "-" if scaled < 0 else ""
     digits = _digits(abs(scaled)).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
@@ -130,7 +137,8 @@ def format_weight(w) -> str:
     if isinstance(w, float):
         to_weight(w)  # TypeError
     w = Fraction(w)
-    return _terminating_decimal(w) or f"{_digits(w.numerator)}/{_digits(w.denominator)}"
+    num, den = w.numerator, w.denominator
+    return _terminating_decimal(num, den) or f"{_digits(num)}/{_digits(den)}"
 
 
 def parse_edge_list(text: str) -> WeightedGraph:
@@ -304,7 +312,7 @@ def parse_matrix(text: str, format: str = "json") -> DistanceMatrix:
 def _newick_label(label: str) -> str:
     """Label as Newick requires: single-quoted, quotes doubled, when it
     holds whitespace or a Newick metacharacter; otherwise unchanged."""
-    if any(c.isspace() or c in "()[]':;," for c in label):
+    if re.search(_QUOTED, label):
         return "'" + label.replace("'", "''") + "'"
     return label
 
@@ -321,13 +329,20 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
     """
     if approx_digits is not None:
         _check_digits(approx_digits)
+    (table, rank, kids, least, doubled), root = d._lists()
+    # Twice each height, exact, as integer stand-ins: a branch is half the
+    # difference of two, formatted once per pair of table entries.
+    stand, scale = _rescale(table if doubled else [2 * to_weight(h) for h in table])
+    width = len(stand)
+    texts: dict[int, str] = {}
 
-    def fmt(length: Fraction) -> str:
-        if isinstance(length, float):  # from a float height
-            to_weight(length)  # TypeError
-        exact = _terminating_decimal(length)
+    def fmt(pair: int) -> str:
+        diff = stand[pair // width] - stand[pair % width]
+        num, den = (diff, 2 * scale) if scale else (diff.numerator, 2 * diff.denominator)
+        exact = _terminating_decimal(num, den)
         if exact is not None:
-            return exact
+            return ":" + exact
+        length = Fraction(num, den)
         if approx_digits is None:
             raise InexactDecimalError(
                 f"branch length {length} has no terminating decimal; "
@@ -335,29 +350,25 @@ def emit_newick(d: Dendrogram, approx_digits: int | None = None) -> str:
             )
         scaled = round(length * 10**approx_digits)
         approx = format_weight(Fraction(scaled, 10**approx_digits))
-        return f"{approx}[{length.numerator}/{length.denominator}]"
+        return f":{approx}[{length.numerator}/{length.denominator}]"
 
-    # Least leaf of every node, children before parents.
-    least: dict[int, Vertex] = {}
-    for node in reversed(list(d._preorder())):
-        below = (least[id(ch)] for ch in node.children)
-        least[id(node)] = min(below, default=node.label)
-
-    # Depth-first without recursion. The stack holds nodes, literal text
-    # and branch lengths; a length is formatted right after its subtree.
+    # Depth-first without recursion. The stack holds literal text, nodes, and
+    # branches as ~(parent entry * width + child entry), each popped right
+    # after its subtree, so the first bad length in output order errs.
     out: list[str] = []
-    stack: list = [";", d]
+    stack: list = [";", root]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif not isinstance(item, Dendrogram):
-            out.append(":" + fmt(item))
-        elif item.is_leaf():
-            out.append(_newick_label(str(item.label)))
-        else:
-            kids = sorted(item.children, key=lambda ch: least[id(ch)])
+        k = stack.pop()
+        if k.__class__ is str:
+            out.append(k)
+        elif k < 0:
+            out.append(texts.get(~k) or texts.setdefault(~k, fmt(~k)))
+        elif kids[k]:
+            base = rank[k] * width
             stack.append(")")
-            for k in reversed(range(len(kids))):
-                stack += [item.height - kids[k].height, kids[k], "," if k else "("]
+            for c in reversed(kids[k]):
+                stack += ~(base + rank[c]), c, ","
+            stack[-1] = "("  # before the first child, not a comma
+        else:
+            out.append(_newick_label(str(least[k])))
     return "".join(out)

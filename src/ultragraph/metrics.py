@@ -17,6 +17,7 @@ single-linkage core: it reads a graph's edge columns, grouped into levels
 by one stable sort of the level column, builds no per-edge tuple but a
 closer's and yields its own root list. Every cluster is an interval of one
 leaf order, so a builder fills two slices per merge (``_fill_intervals``).
+A merge tree is flat lists (``_merge_tree``), a ``Dendrogram`` a view on them.
 Floyd–Warshall, the plain triangle, ``compare`` and the exponent run on
 the values times the lcm of their denominators, exact integers in int32,
 int64 or Python ints, whichever twice the largest fits first
@@ -27,12 +28,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, compress, count
-from operator import itemgetter
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -473,7 +474,6 @@ def quotient(m: DistanceMatrix) -> tuple[Partition, DistanceMatrix]:
     return Partition(tuple(map(tuple, blocks.values()))), q
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Dendrogram:
     """Merge tree of an ultrametric: distance = 2 x height of the
     lowest common ancestor.
@@ -482,25 +482,49 @@ class Dendrogram:
     merge distance / 2 and at least two children. Simultaneous merges at
     one height collapse into a single multiway node, making the tree a
     canonical function of the matrix. Children are ordered by the
-    smallest vertex name they contain.
+    smallest vertex name they contain. A tree ``_merge_tree`` built is a view
+    on its lists, building a node's children when ``children`` is first read.
     """
 
-    height: Weight
-    children: tuple["Dendrogram", ...]
-    label: Vertex | None = None
+    def __init__(self, height: Weight, children: tuple["Dendrogram", ...],
+                 label: Vertex | None = None):
+        vars(self).update(height=height, label=label, _kids=children, _tree=None, _at=0)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def children(self) -> tuple["Dendrogram", ...]:
+        if self._kids is None:  # a view's children, built on first read
+            vars(self)["_kids"] = tuple(_view(self._tree, k) for k in self._tree[2][self._at])
+        return self._kids
+
+    def _lists(self) -> tuple[tuple, int]:
+        """The ``_merge_tree`` lists that hold this node, and its index. A
+        hand-built tree is flattened once, children before parents and ordered
+        by least leaf, its heights kept as given: one table entry per node."""
+        if self._tree is None:
+            table, kids, least, at = [], [], [], {}
+            for node in reversed(list(self._preorder())):  # a subtree met twice is flattened twice
+                below = sorted([at[id(ch)] for ch in node.children], key=least.__getitem__)
+                at[id(node)] = len(table)
+                table.append(node.height)
+                kids.append(below)
+                least.append(least[below[0]] if below else node.label)
+            vars(self).update(_tree=(table, range(len(table)), kids, least, False), _at=len(table) - 1)
+        return self._tree, self._at
 
     def is_leaf(self) -> bool:
-        return not self.children
+        return self._kids is not None and not self._kids  # an unread view is internal
 
     def _preorder(self) -> Iterator["Dendrogram"]:
         """Every node, parents before children, without recursion."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        return _walk(attrgetter("children"), self)
 
     def leaves(self) -> list[Vertex]:
+        if self._kids is None:  # an unread view: its lists, building no node
+            kids, least = self._tree[2:4]
+            return [least[k] for k in _walk(kids.__getitem__, self._at) if not kids[k]]
         return [node.label for node in self._preorder() if node.is_leaf()]
 
     def min_leaf(self) -> Vertex:
@@ -536,38 +560,59 @@ class Dendrogram:
         return "".join(out)
 
 
+def _walk(children, top) -> Iterator:
+    """``top`` and every node below it, parents before children, without
+    recursion; ``children`` gives a node's children."""
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))
+
+
+def _view(tree: tuple, k: int) -> Dendrogram:
+    """Node ``k`` of the ``_merge_tree`` lists ``tree``; its children are built when read."""
+    node, (table, rank, kids, least, _) = Dendrogram.__new__(Dendrogram), tree
+    vars(node).update(height=table[rank[k]] / 2, label=None if kids[k] else least[k],
+                      _kids=None if kids[k] else (), _tree=tree, _at=k)
+    return node
+
+
 def _merge_tree(vertices: Sequence[Vertex], levels) -> Dendrogram:
-    """Multiway merge tree of a connected ``_merge_levels`` sequence.
-
-    Zero-weight merges collapse into one leaf named after the class's
-    first vertex in canonical order, as ``quotient`` names its blocks.
-    Positive merges at one height extend one node, whose children are
-    ordered by their least leaf label.
+    """Multiway merge tree of a connected ``_merge_levels`` sequence, as a view on
+    the lists ``(table, rank, kids, least, True)``: ``table`` holds 0 and each
+    merge weight, twice each distinct height (``True`` says so), and per node,
+    children before parents, ``rank`` indexes its entry, ``kids`` lists its
+    children, ordered by least leaf, and ``least`` holds that leaf's label.
+    Node v < n is the leaf of v's zero class: zero-weight merges collapse a
+    class into one leaf named after its first vertex in canonical order, as
+    ``quotient`` names its blocks. Positive merges at one height extend one node.
     """
-    first = list(range(len(vertices)))  # first vertex of each zero class
-    tops: dict[int, tuple[Vertex, Dendrogram]] = {}  # root -> (least leaf, tree)
-
-    def top(r: int) -> tuple[Vertex, Dendrogram]:
-        if r in tops:
-            return tops.pop(r)
-        label = vertices[first[r]]
-        return label, Dendrogram(Fraction(0), (), label)
-
+    n = len(vertices)
+    first, least = list(range(n)), list(vertices)  # each zero class's first vertex
+    rank, kids, table = [0] * n, [()] * n, [Fraction(0)]
+    top = list(range(n))  # each cluster root's node
     root = 0
     for w, _, merges, _ in levels:
         if not w:
             for root, rb, _, _ in merges:
                 first[root] = min(first[root], first[rb])
+                least[root] = vertices[first[root]]
             continue
-        growing: dict[int, list[tuple[Vertex, Dendrogram]]] = {}
+        growing: dict[int, list[int]] = {}
         for root, rb, _, _ in merges:
-            kids = growing.pop(root, None) or [top(root)]
-            kids += growing.pop(rb, None) or [top(rb)]
-            growing[root] = kids
-        for r, kids in growing.items():
-            kids.sort(key=itemgetter(0))
-            tops[r] = (kids[0][0], Dendrogram(w / 2, tuple(t for _, t in kids)))
-    return top(root)[1]
+            below = growing.pop(root, None) or [top[root]]
+            below += growing.pop(rb, None) or [top[rb]]
+            growing[root] = below
+        if merges:
+            table.append(w)
+        for r, below in growing.items():
+            below.sort(key=least.__getitem__)
+            top[r] = len(rank)
+            rank.append(len(table) - 1)
+            kids.append(below)
+            least.append(least[below[0]])
+    return _view((table, rank, kids, least, True), top[root])
 
 
 def subdominant_dendrogram(g: WeightedGraph) -> Dendrogram:
@@ -614,23 +659,22 @@ def matrix_from_dendrogram(
         raise VertexMismatchError("vertex list must be a permutation of leaves")
     _check_vertices(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    nodes = list(d._preorder())
+    (table, rank, kids, least, doubled), root = d._lists()
     # A node's children fuse left to right into its first leaf's cluster, coded
-    # by the node's place in preorder; the diagonal gets the code after them.
+    # by the table entry of its height; the diagonal gets the code after them.
     tops: dict[int, tuple[int, int]] = {}  # finished node -> (root, size)
     merges = []
-    for code in reversed(range(len(nodes))):  # children before parents
-        kids = [tops.pop(id(ch)) for ch in nodes[code].children]
-        (ra, sa), *rest = kids or [(idx[nodes[code].label], 1)]
+    for k in reversed(list(_walk(kids.__getitem__, root))):  # children before parents
+        (ra, sa), *rest = [tops.pop(c) for c in kids[k]] or [(idx[least[k]], 1)]
         for rb, sb in rest:
-            merges.append((ra, rb, sa, sb, code))
+            merges.append((ra, rb, sa, sb, rank[k]))
             sa += sb
-        tops[id(nodes[code])] = (ra, sa)
-    codes = _fill_intervals(len(verts), merges, len(nodes))
+        tops[k] = (ra, sa)
+    codes = _fill_intervals(len(verts), merges, len(table))
     # Each used height converted once, in row-major order: the first bad one errs.
-    heights = [node.height for node in nodes] + [Fraction(0)]
+    heights = [*table, Fraction(0)]
     used = list(dict.fromkeys(codes.ravel().tolist()))
-    values, ranks = _ranked([2 * to_weight(heights[c]) for c in used])
+    values, ranks = _ranked([heights[c] if doubled else 2 * to_weight(heights[c]) for c in used])
     recode = np.zeros(len(heights), dtype=np.int32)
     recode[used] = ranks
     return _from_values(verts, values, recode[codes])

@@ -566,6 +566,23 @@ class TestNewick:
             with pytest.raises(TypeError, match="refusing to build an exact weight from float"):
                 ug.emit_newick(ug.Dendrogram(height, leaves))
 
+    def test_string_heights_are_read_as_weights(self):
+        # As matrix_from_dendrogram reads them, which doubles each height.
+        leaves = (ug.Dendrogram(Fraction(0), (), "a"), ug.Dendrogram(Fraction(0), (), "b"))
+        assert ug.emit_newick(ug.Dendrogram("3", leaves)) == "(a:3,b:3);"
+        assert ug.emit_newick(ug.Dendrogram("1/2", leaves)) == "(a:0.5,b:0.5);"
+        assert ug.matrix_from_dendrogram(ug.Dendrogram("3", leaves)).entry("a", "b") == 6
+
+    def test_a_child_above_its_parent_gives_a_negative_length(self):
+        leaves = (ug.Dendrogram(Fraction(0), (), "a"), ug.Dendrogram(Fraction(0), (), "b"))
+        tree = ug.Dendrogram(1, (ug.Dendrogram(Fraction(5, 2), leaves), ug.Dendrogram(0, (), "c")))
+        assert ug.emit_newick(tree) == "((a:2.5,b:2.5):-1.5,c:1);"
+
+    def test_quoting_agrees_with_isspace_on_every_code_point(self):
+        odd = [c for c in map(chr, range(0x110000))
+               if (io._newick_label(c) != c) != (c.isspace() or c in "()[]':;,")]
+        assert odd == []
+
     def test_metacharacter_labels_are_quoted(self):
         m = ug.distance_matrix(
             ["it's", "a b", "plain"], [[0, 2, 4], [2, 0, 4], [4, 4, 0]]

@@ -1340,12 +1340,179 @@ def test_matrix_from_dendrogram_matches_the_per_cell_path(tree, wide):
     with stand_ins(wide):
         got = outcome(ug.matrix_from_dendrogram, d, order)
         wants = [outcome(f, d, order)
-                 for f in (reference_matrix_from_dendrogram, member_list_matrix_from_dendrogram)]
+                 for f in (reference_matrix_from_dendrogram, member_list_matrix_from_dendrogram,
+                           preorder_matrix_from_dendrogram)]
     for want in wants:
         if isinstance(want, tuple):
             assert got == want
         else:
             same_matrix(got, want)
+
+
+# A merge tree is its flat lists: ``_merge_tree`` builds no node object, and
+# ``emit_newick`` and ``matrix_from_dendrogram`` read the lists. The
+# references are the bodies they replaced: a frozen node and a ``w / 2``
+# per merge, an emitter that found each node's least leaf, re-sorted its
+# children and subtracted one Fraction per branch, and a matrix fill that
+# walked the node objects.
+
+
+def reference_merge_tree(vertices, levels):
+    first = list(range(len(vertices)))  # first vertex of each zero class
+    tops = {}  # root -> (least leaf, tree)
+
+    def top(r):
+        if r in tops:
+            return tops.pop(r)
+        label = vertices[first[r]]
+        return label, ug.Dendrogram(Fraction(0), (), label)
+
+    root = 0
+    for w, _, merges, _ in levels:
+        if not w:
+            for root, rb, _, _ in merges:
+                first[root] = min(first[root], first[rb])
+            continue
+        growing = {}
+        for root, rb, _, _ in merges:
+            kids = growing.pop(root, None) or [top(root)]
+            kids += growing.pop(rb, None) or [top(rb)]
+            growing[root] = kids
+        for r, kids in growing.items():
+            kids.sort(key=itemgetter(0))
+            tops[r] = (kids[0][0], ug.Dendrogram(w / 2, tuple(t for _, t in kids)))
+    return top(root)[1]
+
+
+def reference_emit_newick(d, approx_digits=None):
+    if approx_digits is not None:
+        io._check_digits(approx_digits)
+
+    def fmt(length):
+        if isinstance(length, float):  # from a float height
+            ug.to_weight(length)  # TypeError
+        exact = io._terminating_decimal(length.numerator, length.denominator)
+        if exact is not None:
+            return exact
+        if approx_digits is None:
+            raise ug.InexactDecimalError(
+                f"branch length {length} has no terminating decimal; "
+                "pass approx_digits to allow rounding"
+            )
+        scaled = round(length * 10**approx_digits)
+        approx = ug.format_weight(Fraction(scaled, 10**approx_digits))
+        return f"{approx}[{length.numerator}/{length.denominator}]"
+
+    least = {}  # least leaf of every node, children before parents
+    for node in reversed(list(d._preorder())):
+        below = (least[id(ch)] for ch in node.children)
+        least[id(node)] = min(below, default=node.label)
+    out = []
+    stack = [";", d]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not isinstance(item, ug.Dendrogram):
+            out.append(":" + fmt(item))
+        elif item.is_leaf():
+            out.append(io._newick_label(str(item.label)))
+        else:
+            kids = sorted(item.children, key=lambda ch: least[id(ch)])
+            stack.append(")")
+            for k in reversed(range(len(kids))):
+                stack += [item.height - kids[k].height, kids[k], "," if k else "("]
+    return "".join(out)
+
+
+def preorder_matrix_from_dendrogram(d, vertices=None):
+    leaf_order = d.leaves()
+    verts = tuple(vertices) if vertices is not None else tuple(leaf_order)
+    if sorted(verts) != sorted(leaf_order):
+        raise ug.VertexMismatchError("vertex list must be a permutation of leaves")
+    metrics._check_vertices(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    nodes = list(d._preorder())
+    tops = {}  # finished node -> (root, size)
+    merges = []
+    for code in reversed(range(len(nodes))):  # children before parents
+        kids = [tops.pop(id(ch)) for ch in nodes[code].children]
+        (ra, sa), *rest = kids or [(idx[nodes[code].label], 1)]
+        for rb, sb in rest:
+            merges.append((ra, rb, sa, sb, code))
+            sa += sb
+        tops[id(nodes[code])] = (ra, sa)
+    codes = metrics._fill_intervals(len(verts), merges, len(nodes))
+    heights = [node.height for node in nodes] + [Fraction(0)]
+    used = list(dict.fromkeys(codes.ravel().tolist()))
+    values, ranks = graph._ranked([2 * ug.to_weight(heights[c]) for c in used])
+    recode = np.zeros(len(heights), dtype=np.int32)
+    recode[used] = ranks
+    return metrics._from_values(verts, values, recode[codes])
+
+
+def hand_built(d, height=lambda h: h, label=lambda x: x):
+    """A copy of ``d`` made node by node with the public constructor, each
+    height and label passed through ``height`` and ``label``."""
+    made = {}
+    for node in reversed(list(d._preorder())):  # children before parents
+        kids = tuple(made[id(ch)] for ch in node.children)
+        made[id(node)] = ug.Dendrogram(height(node.height), kids, label(node.label))
+    return made[id(d)]
+
+
+# Whitespace of several kinds, quotes and every Newick metacharacter.
+HOSTILE_LABELS = ["a", "b b", "it's", "x(1)", "[c]", "d:e", "f;g", "h,i", "\u2003",
+                  "\x85j", "k\u3000", "''", "é", "v10", "v2", "\x1c", "l\tm", "n)("]
+APPROX_DIGITS = st.sampled_from([None, 0, 3, 12])
+
+
+def hostile_names(g, names):
+    """``g`` with its vertices renamed to ``names``, in order."""
+    new = dict(zip(g.vertices, names))
+    return ug.build_graph([new[v] for v in g.vertices],
+                          [(new[u], new[v], w) for u, v, w in g.weighted_edges()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(twice_max_graphs(kinds=("corpus", "zero-heavy")), st.permutations(HOSTILE_LABELS),
+       APPROX_DIGITS, st.booleans(), st.randoms())
+def test_the_merge_tree_lists_match_the_node_bodies(g, names, digits, wide, rng):
+    g = hostile_names(g, names)
+    with stand_ins(wide):
+        levels = list(metrics._merge_levels(len(g.vertices), g._edge_columns, g._levels))
+        want = reference_merge_tree(g.vertices, levels)
+        got = ug.subdominant_dendrogram(g)
+        assert outcome(ug.emit_newick, got, digits) == outcome(reference_emit_newick, want, digits)
+        # Each reader on a fresh tree, whose nodes are not built yet.
+        order = rng.sample(want.leaves(), len(want.leaves()))
+        for verts in (None, order):
+            same_matrix(ug.matrix_from_dendrogram(ug.subdominant_dendrogram(g), verts),
+                        reference_matrix_from_dendrogram(want, verts))
+        assert ug.subdominant_dendrogram(g).leaves() == want.leaves()
+        assert ug.subdominant_dendrogram(g).min_leaf() == want.min_leaf()
+        copy = hand_built(want)
+        for fresh in (ug.subdominant_dendrogram(g), ug.dendrogram(ug.quotient(ug.subdominant_matrix(g))[1])):
+            assert fresh == want and want == fresh and fresh == copy
+        assert hash(ug.subdominant_dendrogram(g)) == hash(want) == hash(copy)
+        assert repr(ug.subdominant_dendrogram(g)) == repr(want) == repr(copy)
+        assert outcome(ug.emit_newick, copy, digits) == outcome(reference_emit_newick, want, digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dendrograms(), st.permutations(HOSTILE_LABELS), APPROX_DIGITS, st.booleans())
+def test_newick_of_a_hand_built_tree_matches_the_node_walk(tree, names, digits, wide):
+    # Drawn heights include strings, which the node walk could not subtract,
+    # and floats and negative values, which no height may be.
+    d = hand_built(tree[0], label=dict(zip(LEAF_LABELS, names)).get)
+    heights = [node.height for node in d._preorder()]
+    with stand_ins(wide):
+        got = outcome(ug.emit_newick, d, digits)
+        bad = [e for e in (outcome(ug.to_weight, h) for h in heights) if isinstance(e, tuple)]
+        if bad:  # each height is converted before any length is written
+            assert got in bad
+        else:
+            assert got == outcome(reference_emit_newick, hand_built(d, height=ug.to_weight), digits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1630,6 +1797,26 @@ def test_validate_scans_for_the_witness_once_the_certificate_fails():
     w = reference_triangle_witness(rows, max)
     assert scans == [w] and w is not None
     assert verdict == Verdict(False, "strong-triangle", tuple(m.vertices[k] for k in w))
+
+
+def test_newick_of_a_long_path_builds_no_node_and_formats_each_pair_once():
+    # Weights increasing along the path: a caterpillar 9,999 nodes deep. Its
+    # 19,998 branches join 19,997 distinct pairs of heights, as the lowest
+    # node's two leaves hang from it at one height.
+    n = 10**4
+    g = chain(n, ks=range(1, n))
+    levels = metrics._merge_levels(n, g._edge_columns, g._levels)
+    want = reference_emit_newick(reference_merge_tree(g.vertices, levels))
+    small = chain(200)
+    with mock.patch.object(metrics, "_view", wraps=metrics._view) as views, \
+            mock.patch.object(metrics.Dendrogram, "__init__", side_effect=AssertionError("a node")), \
+            mock.patch.object(io, "_terminating_decimal", wraps=io._terminating_decimal) as formats:
+        assert ug.emit_newick(ug.subdominant_dendrogram(g)) == want
+        assert views.call_count == 1  # the root, returned as a view
+        assert formats.call_count == 2 * n - 3
+        m = ug.matrix_from_dendrogram(ug.subdominant_dendrogram(small), small.vertices)
+        assert views.call_count == 2
+    assert m == ug.subdominant_matrix(small)
 
 
 def test_a_caterpillar_round_trips_to_the_subdominant_matrix():
