@@ -20,14 +20,25 @@ extendable weighting has, builds a block forest: that of H plus the
 level's closers, where a pair in one component is hit iff its forest
 path meets a block holding a closer. The walk takes each level's
 starting roots from the merge core's root list, and connectivity from
-its last one. The least extension and the uniqueness test need
-extendability, so their walk raises at its first closer instead.
+its last one. The least extension needs extendability, so its walk
+raises at its first closer instead.
+
+The uniqueness test lists no pair. On an extendable graph a nonadjacent
+pair that level k first connects has a unique-maximum path iff one of
+level k's edges joins its two starting roots directly: that edge tops a
+path through the two lighter components, and a unique top edge at a
+later level would either join two lighter components, one of which
+holds both ends, or close a lighter cycle. So the extension is unique
+iff, at each positive level, every two starting roots the level fuses
+are joined by one of its edges, which one count per level decides. The
+well-chained pairs are each zero class's pairs minus its edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -264,14 +275,24 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
 
     On a finite graph these are exactly the pairs joined inside the
     subgraph of zero-weight edges: a path of maximum weight below every
-    positive bound must avoid all positive edges.
+    positive bound must avoid all positive edges. So they are each zero
+    class's pairs minus its edges, listed class by class in O(m + output):
+    none at all without a zero-weight edge.
     """
     _require_connected(g)
+    if g._levels[:1] != (0,):  # every zero class is a single vertex
+        return frozenset()
     home = _zero_classes(g)
-    p, q = _nonadjacent(g)
-    same = home[p] == home[q]
+    i, j, _ = g._edge_columns
+    inside = home[i] == home[j]
+    edges = set(zip(i[inside].tolist(), j[inside].tolist()))  # the edges within a class
+    classes: dict[int, list[int]] = {}
+    for a, r in enumerate(home.tolist()):
+        classes.setdefault(r, []).append(a)
     v = g.vertices
-    return frozenset((v[a], v[b]) for a, b in zip(p[same].tolist(), q[same].tolist()))
+    return frozenset(
+        (v[a], v[b]) for c in classes.values() for a, b in combinations(c, 2) if (a, b) not in edges
+    )
 
 
 def least_extension(g: WeightedGraph) -> DistanceMatrix:
@@ -312,11 +333,33 @@ def is_unique_extension(g: WeightedGraph) -> bool:
 
     Uniqueness holds iff every pair without a unique-maximum path is
     already at subdominant distance zero: any other pair can trade its
-    value between the greatest extension and a smaller one.
+    value between the greatest extension and a smaller one. One merge walk
+    decides it with no pair listed (module docstring): at each positive
+    level, the pairs its edges join directly, the sum of s_A * s_B over the
+    distinct starting root pairs they join, must be all the pairs it
+    connects, the sum of s_a * s_b over its merges. Raises
+    NotExtendableError at the first closer, then DisconnectedError.
     """
-    p, q, level = _twice_max_analysis(g, require_extendable=True)
-    home, twice = _zero_classes(g), level < 0  # every twice-max pair well chained?
-    return bool((home[p[twice]] == home[q[twice]]).all())
+    n, levels = len(g.vertices), g._levels
+    columns, starts = _level_slices(g._edge_columns)
+    ii, jj, kk = columns.tolist()
+    walk = _merge_levels(n, columns, levels)
+    roots, size = range(n), [1] * n  # roots: the core's list, read before its next level
+    unique = True
+    for lo, hi in zip(starts, starts[1:]):
+        if check := unique and levels[kk[lo]]:  # a zero level's pairs are well chained
+            ends = zip(map(roots.__getitem__, ii[lo:hi]), map(roots.__getitem__, jj[lo:hi]))
+            joined = {(a, b) if a < b else (b, a) for a, b in ends}
+        _, closers, merges, roots = next(walk)
+        if closers:
+            raise NotExtendableError(_closed_cycle(g, closers[0]))
+        if check:
+            unique = sum(size[a] * size[b] for a, b in joined) == sum(sa * sb for _, _, sa, sb in merges)
+        for ra, _, sa, sb in merges:
+            size[ra] = sa + sb
+    if size[roots[0]] < n:  # vertex 0's cluster is not everything
+        _require_connected(g)  # raises, naming two components
+    return unique
 
 
 def augment(

@@ -671,9 +671,12 @@ def matrix_from_dendrogram(
             sa += sb
         tops[k] = (ra, sa)
     codes = _fill_intervals(len(verts), merges, len(table))
-    # Each used height converted once, in row-major order: the first bad one errs.
     heights = [*table, Fraction(0)]
-    used = list(dict.fromkeys(codes.ravel().tolist()))
+    if doubled:  # a built tree's heights are weights already: none can fail to convert
+        used = [*{code for *_, code in merges}, len(table)]
+    else:  # each used height converted once, in row-major order: the first bad one errs
+        used, first = np.unique(codes, return_index=True)
+        used = used[first.argsort()].tolist()
     values, ranks = _ranked([heights[c] if doubled else 2 * to_weight(heights[c]) for c in used])
     recode = np.zeros(len(heights), dtype=np.int32)
     recode[used] = ranks

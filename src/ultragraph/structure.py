@@ -4,12 +4,15 @@ over: forests, trees, complete multipartite graphs, and stars.
 Complete-multipartite recognition groups the vertices by neighbourhood
 (the index tuples a graph builds on first read): the parts of such a graph
 are exactly its classes of equal neighbourhoods. The three-vertex
-obstruction scan in ``find_multipartite_obstruction`` is an independent
-second route to the same question and the two are tested against each
-other exhaustively on small graphs.
+obstruction search in ``find_multipartite_obstruction``, by degrees and
+common-neighbour counts, is an independent second route to the same
+question and the two are tested against each other exhaustively on small
+graphs.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .graph import Partition, Vertex, WeightedGraph, connected_components, is_connected
 
@@ -48,6 +51,9 @@ def multipartite_parts(g: WeightedGraph) -> Partition | None:
     return Partition(tuple(tuple(c) for c in classes.values()))
 
 
+_CHUNK_BYTES = 1 << 24  # the neighbourhood rows one chunk of edges may hold
+
+
 def find_multipartite_obstruction(
     g: WeightedGraph,
 ) -> tuple[Vertex, Vertex, Vertex] | None:
@@ -57,14 +63,41 @@ def find_multipartite_obstruction(
     A graph contains no such induced triple iff it is complete
     multipartite. Scan order is canonical (edges, then vertices), so the
     witness is deterministic.
+
+    The neighbourhoods of u and v hold v and u, so {u,v} has a detached
+    vertex iff deg u + deg v - c(u,v) < n, c counting common neighbours.
+    The first edge with deg u + deg v < n bounds the search; only the
+    edges before it without a universal end need c, counted in chunks
+    from bit-packed neighbourhood rows. The witness is the first vertex
+    outside both neighbourhoods.
     """
-    for u, v in g.edges:
-        for p in g.vertices:
-            if p == u or p == v:
-                continue
-            if not g.has_edge(u, p) and not g.has_edge(v, p):
-                return (u, v, p)
-    return None
+    adj, (i, j, _) = g._neighbours, g._edge_columns
+    n = len(adj)
+    deg = np.fromiter(map(len, adj), np.intp, n)
+    reach = deg[i] + deg[j]
+    short = np.flatnonzero(reach < n)
+    stop = short[0] if len(short) else len(i)
+    common = np.flatnonzero(np.maximum(deg[i], deg[j])[:stop] < n - 1)  # a universal end detaches none
+    step = max(1, _CHUNK_BYTES // (2 * n))
+    for lo in range(0, len(common), step):
+        edges = common[lo:lo + step]
+        verts, at = np.unique(np.concatenate([i[edges], j[edges]]), return_inverse=True)
+        rows = np.zeros((len(verts), n), dtype=bool)
+        for r, v in enumerate(verts.tolist()):
+            rows[r, adj[v]] = True
+        rows = np.packbits(rows, axis=1)
+        c = np.bitwise_count(rows[at[:len(edges)]] & rows[at[len(edges):]]).sum(axis=1, dtype=np.intp)
+        hit = np.flatnonzero(reach[edges] - c < n)
+        if len(hit):
+            stop = edges[hit[0]]
+            break
+    if stop == len(i):
+        return None
+    u, v = i[stop], j[stop]
+    detached = np.ones(n, dtype=bool)
+    detached[[*adj[u], *adj[v]]] = False
+    names = g.vertices
+    return names[u], names[v], names[detached.argmax()]
 
 
 def is_star(g: WeightedGraph) -> bool:

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -139,6 +140,19 @@ class TestMatrices:
         code, out, err = cli(["least"], "a b 1\nb c 1\nc d 1\n")
         assert code == 2
         assert err.startswith("not-complete-multipartite:")
+
+    def test_least_names_a_late_obstruction_in_well_under_a_second(self, cli):
+        # K(200,200) plus one edge inside a part, last in canonical order: an
+        # edges x vertices scan took about 10 s here.
+        a = 200
+        names = [f"x{i}" for i in range(a)] + [f"y{i}" for i in range(a)]
+        text = "".join(f"vertex {v}\n" for v in names)
+        text += "".join(f"x{i} y{k} 1\n" for i in range(a) for k in range(a)) + "y198 y199 1\n"
+        start = time.process_time()
+        code, out, err = cli(["least"], text)
+        assert time.process_time() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "not-complete-multipartite: edge {'y198','y199'} with 'y0' adjacent to neither endpoint\n"
 
 
 class TestPairListings:

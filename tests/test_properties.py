@@ -4,6 +4,7 @@ brute-force oracles and against each other."""
 import json
 import random
 import re
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import make_dataclass
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 import ultragraph as ug
-from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, io, metrics, oracle
+from ultragraph import AxiomClass, PartialOrderResult, Verdict, graph, io, metrics, oracle, structure
 from ultragraph.graph import _rescale
 from ultragraph.metrics import _as_array, _scan_witness, _strong_triangle_holds
 
@@ -778,6 +779,40 @@ def test_multipartite_parts_matches_complement_reference_on_atlas():
     for G in atlas_graphs(6):
         g = from_networkx(G)
         assert ug.multipartite_parts(g) == reference_multipartite_parts(g)
+
+
+# find_multipartite_obstruction by degrees and common-neighbour counts,
+# against the loop it replaced: every edge in canonical order, then every
+# vertex, two has_edge calls per step.
+
+
+def reference_find_multipartite_obstruction(g):
+    for u, v in g.edges:
+        for p in g.vertices:
+            if p == u or p == v:
+                continue
+            if not g.has_edge(u, p) and not g.has_edge(v, p):
+                return (u, v, p)
+    return None
+
+
+@st.composite
+def obstruction_candidates(draw):
+    # multipartite_candidates, stars with isolated vertices, and edgeless graphs.
+    kind = draw(st.sampled_from(["candidate", "star", "edgeless"]))
+    if kind == "candidate":
+        return draw(multipartite_candidates())
+    names = draw(st.permutations([f"v{i}" for i in range(draw(st.integers(1, 9)))]))
+    leaves = names[1:len(names) - draw(st.integers(0, 2))] if kind == "star" else []
+    return ug.build_graph(names, [(names[0], v, 1) for v in leaves])
+
+
+@settings(max_examples=400, deadline=None)
+@given(obstruction_candidates(), st.sampled_from([1, 16, 1 << 24]))
+def test_obstruction_matches_the_edge_by_vertex_loop(g, budget):
+    # A budget of 1 byte takes one edge per chunk.
+    with mock.patch.object(structure, "_CHUNK_BYTES", budget):
+        assert ug.find_multipartite_obstruction(g) == reference_find_multipartite_obstruction(g)
 
 
 # The interned builders (each distinct cell parsed, converted and
@@ -1829,6 +1864,19 @@ def test_a_caterpillar_round_trips_to_the_subdominant_matrix():
     assert back.axiom_class is AxiomClass.ULTRAMETRIC
 
 
+def test_only_a_hand_built_tree_is_searched_for_first_uses():
+    # A built tree's heights are weights already and cannot fail to convert,
+    # so its n x n codes are not searched for each height's first use.
+    g = chain(200)
+    d = ug.subdominant_dendrogram(g)
+    with mock.patch.object(metrics.np, "unique", wraps=np.unique) as searches:
+        m = ug.matrix_from_dendrogram(d, g.vertices)
+        assert searches.call_count == 0
+        assert ug.matrix_from_dendrogram(hand_built(d), g.vertices) == m
+        assert searches.call_count == 1
+    assert m == ug.subdominant_matrix(g)
+
+
 def union_find_merge_levels(n, edges, values):
     """``metrics._merge_levels`` as a union-find with path halving and union
     by size, the body the quick-find core replaced; each level's roots are
@@ -2337,11 +2385,11 @@ def test_least_and_unique_extension_decide_extendability_in_their_own_walk(g, se
             patch(ug.extension, "_block_forest", wraps=ug.extension._block_forest) as built:
         # The same verdict, and the same witness or DisconnectedError in the same order.
         assert outcome(ug.is_unique_extension, g) == unique
-        # One walk over all edges, then a pass over the zero-weight edges for a verdict.
-        assert passes.call_count == (2 if isinstance(unique, bool) else 1)
+        # One walk over all edges, whatever it returns or raises.
+        assert passes.call_count == 1
         if len(ug.multipartite_parts(g) or ()) >= 2:
             least = outcome(ug.least_extension, g)
-            assert passes.call_count == (3 if isinstance(unique, bool) else 2)
+            assert passes.call_count == 2
             if rep.pseudoultrametrizable:
                 assert not isinstance(least, tuple)
             else:
@@ -2424,3 +2472,97 @@ def test_witnesses_match_the_name_search_over_the_lighter_subgraph(data, wide):
             with pytest.raises(ug.NotExtendableError) as info:
                 f(g)
             assert info.value.witness == want
+
+
+# is_unique_extension and well_chained_pairs without the n x n pair table,
+# against the bodies they replaced: uniqueness as the twice-max walk over
+# every nonadjacent pair, each twice-max pair then looked up in the zero
+# classes, and the well-chained pairs as the nonadjacent pairs of the table
+# that share a zero class.
+
+
+def table_is_unique_extension(g):
+    p, q, level = ug.extension._twice_max_analysis(g, require_extendable=True)
+    home, twice = ug.extension._zero_classes(g), level < 0  # every twice-max pair well chained?
+    return bool((home[p[twice]] == home[q[twice]]).all())
+
+
+def table_well_chained_pairs(g):
+    metrics._require_connected(g)
+    home = ug.extension._zero_classes(g)
+    p, q = ug.extension._nonadjacent(g)
+    same = home[p] == home[q]
+    v = g.vertices
+    return frozenset((v[a], v[b]) for a, b in zip(p[same].tolist(), q[same].tolist()))
+
+
+def weighted_tree(rng, n_max, star):
+    """A random tree, or a star, with distinct weights, some of them then
+    set to 0, or with weights from {0, 1, 2}, so that the top is often tied."""
+    n = rng.randint(1, n_max)
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(0 if star else rng.randrange(i), i) for i in range(1, n)]
+    weights = rng.sample(range(1, 4 * n), n - 1)
+    kind = rng.choice(["distinct", "zeros", "ties"])
+    if kind == "zeros":
+        weights = [0 if rng.random() < 0.3 else w for w in weights]
+    if kind == "ties":
+        weights = [rng.randint(0, 2) for _ in weights]
+    return ug.build_graph(names, [(names[i], names[j], w) for (i, j), w in zip(pairs, weights)])
+
+
+TRIANGLE_123 = ug.build_graph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
+
+
+@st.composite
+def uniqueness_graphs(draw, max_n=16):
+    """Planted restrictions, sparse graphs that are often not extendable,
+    complete multipartite graphs, trees and stars, and disconnected graphs,
+    half of them holding a closer in their first component."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    kind = draw(st.sampled_from(["analysis", "tree", "star", "apart"]))
+    if kind == "analysis":
+        return draw(analysis_graphs(max_n))
+    if kind == "apart":
+        first = TRIANGLE_123 if rng.random() < 0.5 else random_sparse(rng, max_n // 2)
+        return disjoint_union(first, random_sparse(rng, max_n // 2))
+    return weighted_tree(rng, max_n, kind == "star")
+
+
+@settings(max_examples=500, deadline=None)
+@given(uniqueness_graphs())
+def test_unique_and_well_chained_match_the_pair_table_bodies(g):
+    # The verdict, or the exception type and message: the same witness cycle,
+    # and a closer anywhere before a disconnection.
+    got = outcome(ug.is_unique_extension, g)
+    assert got == outcome(table_is_unique_extension, g) == outcome(composed_unique, g)
+    got = outcome(ug.well_chained_pairs, g)
+    assert got == outcome(table_well_chained_pairs, g)
+    if isinstance(got, frozenset):
+        assert got == reference_well_chained_pairs(g)
+
+
+def test_a_closer_is_reported_before_a_disconnection():
+    g = disjoint_union(TRIANGLE_123, ug.build_graph(["p", "q"], [("p", "q", 1)]))
+    with pytest.raises(ug.NotExtendableError) as info:
+        ug.is_unique_extension(g)
+    assert info.value.witness == ug.Cycle(("a", "b", "c"))
+    with pytest.raises(ug.DisconnectedError):
+        ug.well_chained_pairs(g)
+
+
+def test_unique_and_well_chained_hold_no_pair_table():
+    # At n = 2000 a boolean n x n table alone is 3.8 MiB; the traced peaks
+    # stay near 1 MiB and 0.3 MiB.
+    n = 2000
+    g = ug.build_graph([f"v{i}" for i in range(n)], [(f"v{i}", f"v{i + 1}", i + 1) for i in range(n - 1)])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for f, want in ((ug.is_unique_extension, True), (ug.well_chained_pairs, frozenset())):
+            tracemalloc.reset_peak()
+            assert f(g) == want
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 3 * 2**20, peaks
