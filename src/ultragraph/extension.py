@@ -228,7 +228,7 @@ def _twice_max_analysis(
     label = np.arange(n)  # each vertex's root in the lighter graph
     cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
     columns, starts = _level_slices(g._edge_columns)  # level k's edges start at starts[k]
-    for k, closers, _, roots in _merge_levels(n, columns, range(len(g._levels))):
+    for k, closers, _, roots in _merge_levels(n, columns, range(len(g._levels)), starts):
         if closers and require_extendable:
             raise NotExtendableError(_closed_cycle(g, closers[0]))
         if not len(live):  # so connected: a pair of two components stays live
@@ -343,7 +343,7 @@ def is_unique_extension(g: WeightedGraph) -> bool:
     n, levels = len(g.vertices), g._levels
     columns, starts = _level_slices(g._edge_columns)
     ii, jj, kk = columns.tolist()
-    walk = _merge_levels(n, columns, levels)
+    walk = _merge_levels(n, columns, levels, starts)
     roots, size = range(n), [1] * n  # roots: the core's list, read before its next level
     unique = True
     for lo, hi in zip(starts, starts[1:]):

@@ -339,9 +339,11 @@ def _level_slices(columns: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return columns, [*np.unique(columns[2], return_index=True)[1].tolist(), columns.shape[1]]
 
 
-def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight]):
+def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight], starts=None):
     """Kruskal pass over the index edges ``columns`` ``(i, j, k)`` of weight
     ``values[k]``, one weight level at a time; ``values`` must be increasing.
+    With ``starts``, ``columns`` are in level order already, as
+    ``_level_slices`` returns them with their ``starts``.
 
     Yields ``(w, closers, merges, roots)`` per level present, increasing.
     ``closers`` are the level's edges ``(i, j, k)`` whose endpoints strictly
@@ -353,7 +355,8 @@ def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight]):
     Quick-find: ``label`` holds each vertex's root and each root its members,
     so a merge relabels the smaller cluster, O(n log n) relabels in all.
     """
-    columns, starts = _level_slices(columns)
+    if starts is None:
+        columns, starts = _level_slices(columns)
     ii, jj, kk = columns.tolist()
     label, members = list(range(n)), [[v] for v in range(n)]
     for lo, hi in zip(starts, starts[1:]):

@@ -67,9 +67,9 @@ def find_multipartite_obstruction(
     The neighbourhoods of u and v hold v and u, so {u,v} has a detached
     vertex iff deg u + deg v - c(u,v) < n, c counting common neighbours.
     The first edge with deg u + deg v < n bounds the search; only the
-    edges before it without a universal end need c, counted in chunks
-    from bit-packed neighbourhood rows. The witness is the first vertex
-    outside both neighbourhoods.
+    edges before it need c, counted in chunks from bit-packed
+    neighbourhood rows (``np.bitwise_count`` needs numpy 2). The witness
+    is the first vertex outside both neighbourhoods.
     """
     adj, (i, j, _) = g._neighbours, g._edge_columns
     n = len(adj)
@@ -77,19 +77,18 @@ def find_multipartite_obstruction(
     reach = deg[i] + deg[j]
     short = np.flatnonzero(reach < n)
     stop = short[0] if len(short) else len(i)
-    common = np.flatnonzero(np.maximum(deg[i], deg[j])[:stop] < n - 1)  # a universal end detaches none
     step = max(1, _CHUNK_BYTES // (2 * n))
-    for lo in range(0, len(common), step):
-        edges = common[lo:lo + step]
-        verts, at = np.unique(np.concatenate([i[edges], j[edges]]), return_inverse=True)
+    for lo in range(0, stop, step):
+        hi = min(lo + step, stop)
+        verts, at = np.unique(np.concatenate([i[lo:hi], j[lo:hi]]), return_inverse=True)
         rows = np.zeros((len(verts), n), dtype=bool)
         for r, v in enumerate(verts.tolist()):
             rows[r, adj[v]] = True
         rows = np.packbits(rows, axis=1)
-        c = np.bitwise_count(rows[at[:len(edges)]] & rows[at[len(edges):]]).sum(axis=1, dtype=np.intp)
-        hit = np.flatnonzero(reach[edges] - c < n)
+        c = np.bitwise_count(rows[at[:hi - lo]] & rows[at[hi - lo:]]).sum(axis=1, dtype=np.intp)
+        hit = np.flatnonzero(reach[lo:hi] - c < n)
         if len(hit):
-            stop = edges[hit[0]]
+            stop = lo + hit[0]
             break
     if stop == len(i):
         return None
