@@ -6,22 +6,30 @@ enumerates cycles: an edge e = {u,v} sits alone at the top of some cycle
 iff its endpoints are already connected by strictly lighter edges, which
 is a connectivity question in a threshold subgraph.
 
-For the least extension on complete multipartite graphs we need, per
-nonadjacent pair, whether some connecting path has a unique maximal
-edge. With H the strictly lighter subgraph, pair {p,q} has such a path
-through edge e = {x,y} iff H + e has a simple p-q path through e. If e
-joins two components of H, it is a bridge of H + e, and p and q must lie
-one in each. Otherwise e closes a cycle with a unique maximum (it is a
-closer), and an edge of a block lies on a simple p-q path iff the block
-lies on the forest path from p to q. So the merge levels decide every
-pair. At a level with no closer, a pair is hit iff one edge of the level
-joins its two components directly. Only a level with a closer, which no
-extendable weighting has, builds a block forest: that of H plus the
-level's closers, where a pair in one component is hit iff its forest
-path meets a block holding a closer. The walk takes each level's
-starting roots from the merge core's root list, and connectivity from
-its last one. The least extension needs extendability, so its walk
-raises at its first closer instead.
+One merge pass builds both extensions. The greatest is the subdominant
+matrix. On a complete multipartite graph the least is the greatest with
+every pair of twins set to 0, twins being two vertices with the same
+weight to every vertex. A nonadjacent pair p, q lies in one part; if some
+r weighs them differently, the strong triangle on p, q, r forces
+d(p,q) = max(w(p,r), w(q,r)) in every extension d, which is the
+subdominant value. Twins have equal subdominant distances to every
+vertex, so setting them to 0 keeps a pseudoultrametric, which then lies
+below every extension.
+
+The twice-max pairs need, per nonadjacent pair, whether some connecting
+path has a unique maximal edge. With H the strictly lighter subgraph,
+pair {p,q} has such a path through edge e = {x,y} iff H + e has a simple
+p-q path through e. If e joins two components of H, it is a bridge of
+H + e, and p and q must lie one in each. Otherwise e closes a cycle with
+a unique maximum (it is a closer), and an edge of a block lies on a
+simple p-q path iff the block lies on the forest path from p to q. So
+the merge levels decide every pair. At a level with no closer, a pair is
+hit iff one edge of the level joins its two components directly. Only a
+level with a closer, which no extendable weighting has, builds a block
+forest: that of H plus the level's closers, where a pair in one
+component is hit iff its forest path meets a block holding a closer.
+The walk takes each level's starting roots from the merge core's root
+list, and connectivity from its last one.
 
 The uniqueness test lists no pair. On an extendable graph a nonadjacent
 pair that level k first connects has a unique-maximum path iff one of
@@ -36,9 +44,10 @@ well-chained pairs are each zero class's pairs minus its edges.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,11 +73,11 @@ from .graph import (
 from .metrics import (
     AxiomClass,
     DistanceMatrix,
+    _fill_intervals,
     _from_values,
     _level_slices,
     _merge_levels,
     _require_connected,
-    subdominant_matrix,
 )
 from .structure import find_multipartite_obstruction, multipartite_parts
 
@@ -124,19 +133,30 @@ def _closed_cycle(g: WeightedGraph, closer: tuple[int, int, int]) -> Cycle:
     return Cycle(tuple(map(g.vertices.__getitem__, reversed(detour))))
 
 
+def _greatest_codes(g: WeightedGraph) -> tuple[tuple, np.ndarray]:
+    """The greatest extension of connected ``g``: the table of its distinct
+    values and each cell's int32 code, from one merge pass that raises
+    NotExtendableError at the first closer, as is_pseudoultrametrizable finds it."""
+    table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
+    merges = []
+    for k, closers, level, _ in _merge_levels(len(g.vertices), g._edge_columns, range(len(g._levels))):
+        if closers:
+            raise NotExtendableError(_closed_cycle(g, closers[0]))
+        merges += [(*m, rank[k + 1]) for m in level]
+    return table, _fill_intervals(len(g.vertices), merges, 0)
+
+
 def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     """Largest pseudoultrametric extending the weighting.
 
     This is exactly the subdominant matrix once extendability holds: the
     greatest pseudoultrametric below the weight then agrees with it on
-    every edge. No greatest extension exists on disconnected graphs, and
-    none at all without extendability; disconnection is reported first.
+    every edge, and one merge pass builds it and checks extendability.
+    No greatest extension exists on disconnected graphs, and none at all
+    without extendability; disconnection is reported first.
     """
-    m = subdominant_matrix(g)
-    report = is_pseudoultrametrizable(g)
-    if not report.pseudoultrametrizable:
-        raise NotExtendableError(report.witness)
-    return m
+    _require_connected(g)
+    return _from_values(g.vertices, *_greatest_codes(g))
 
 
 def _block_forest(adj: Sequence[Sequence[int]]):
@@ -209,17 +229,14 @@ def _nonadjacent(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~joined)
 
 
-def _twice_max_analysis(
-    g: WeightedGraph, require_extendable: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _twice_max_analysis(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the nonadjacent index pairs by unique-maximum-path existence.
 
     Returns the pairs ``(p, q)``, ``p < q``, in row-major order as two index
     arrays, and for each the weight level of the least unique-max path's
     dominant edge, or -1 where every connecting path has two maximal edges.
     Walks the merge levels (see the module docstring) until every pair is
-    resolved; with ``require_extendable`` it walks them all and raises
-    NotExtendableError at the first closer, as is_pseudoultrametrizable finds it.
+    resolved.
     """
     n = len(g.vertices)
     p, q = _nonadjacent(g)
@@ -229,11 +246,7 @@ def _twice_max_analysis(
     cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
     columns, starts = _level_slices(g._edge_columns)  # level k's edges start at starts[k]
     for k, closers, _, roots in _merge_levels(n, columns, range(len(g._levels)), starts):
-        if closers and require_extendable:
-            raise NotExtendableError(_closed_cycle(g, closers[0]))
         if not len(live):  # so connected: a pair of two components stays live
-            if require_extendable:
-                continue
             break
         lp, lq = label[p[live]], label[q[live]]
         ra, rb = label[columns[:2, starts[k]:starts[k + 1]]]  # the level's starting roots
@@ -300,10 +313,11 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
 
     Computed on complete multipartite graphs with at least two parts, where
     every extendable weighting has one (the paper's theorem); other graphs
-    have one only for some weightings and are refused. Nonadjacent pairs
-    get 0 when no connecting path has a unique maximal edge, else the
-    weight of such a path's dominant edge; that value is path-independent
-    on this graph class, which the final axiom check re-asserts.
+    have one only for some weightings and are refused. It is the greatest
+    extension with every pair of twins, vertices with the same weight to
+    every vertex, set to 0 (module docstring); the final axiom check
+    re-asserts that it is a pseudoultrametric. Such a graph is connected,
+    so no component search runs; a closer raises NotExtendableError.
     """
     parts = multipartite_parts(g)
     if parts is None:
@@ -312,14 +326,14 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
         raise NotCompleteMultipartiteError(
             None, "graph is edgeless (one part); need at least two parts"
         )
-    p, q, level = _twice_max_analysis(g, require_extendable=True)
-    table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
-    rank = np.array(rank, dtype=np.int32)  # so twice-max pairs (-1) stay at 0
+    table, codes = _greatest_codes(g)
     i, j, k = g._edge_columns
-    ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
-    ranks[i, j] = ranks[j, i] = rank[k + 1]
-    ranks[p, q] = ranks[q, p] = rank[level + 1]
-    m = _from_values(g.vertices, table, ranks)
+    row = np.zeros_like(codes)  # level + 1 to each vertex, 0 off the edges
+    row[i, j] = row[j, i] = k + 1
+    first = defaultdict(count().__next__)  # each distinct row's number, by first appearance
+    twin = np.array([first[r.tobytes()] for r in row])
+    codes[twin[:, None] == twin] = 0
+    m = _from_values(g.vertices, table, codes)
     if not m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC):
         raise NotPseudoultrametricError(
             "least-extension values are inconsistent; input is outside "
@@ -378,11 +392,11 @@ def augment(
     """
     comps = connected_components(g)
     k = len(comps)
-    if not 0 <= hub_component_index < k:
-        raise BadHubIndexError(
-            f"hub index {hub_component_index} out of range for {k} component(s)"
-        )
+    if type(hub_component_index) is not int or not 0 <= hub_component_index < k:
+        raise BadHubIndexError(f"hub index {hub_component_index!r} out of range for {k} component(s)")
     consts = dict(constants) if constants else {}
+    if bad := [i for i in consts if type(i) is not int]:  # before True can pass for 1
+        raise MissingConstantError(f"no component with index {bad[0]!r}")
     needed = [i for i in range(k) if i != hub_component_index]
     for i in needed:
         if i not in consts:

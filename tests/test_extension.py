@@ -273,6 +273,16 @@ class TestLeastExtension:
         assert m.entry("b", "d") == 2
         assert m == ug.greatest_extension(alternating_c4())
 
+    def test_only_twins_drop_below_the_greatest_extension(self):
+        # K(3, 2) with parts {a, b, c} and {x, y}: a and b weigh the same
+        # to every vertex, c does not.
+        g = ug.build_graph("abcxy", [("a", "x", 1), ("b", "x", 1), ("c", "x", 2),
+                                     ("a", "y", 2), ("b", "y", 2), ("c", "y", 2)])
+        least, greatest = ug.least_extension(g), ug.greatest_extension(g)
+        assert least.entry("a", "b") == 0 and greatest.entry("a", "b") == 1
+        assert least.entry("a", "c") == greatest.entry("a", "c") == 2
+        assert least.entry("x", "y") == greatest.entry("x", "y") == 2
+
     def test_least_below_greatest(self):
         rng = random.Random(43)
         for _ in range(25):
@@ -389,6 +399,13 @@ class TestAugment:
         with pytest.raises(ug.BadHubIndexError):
             ug.augment(g, -1)
 
+    @pytest.mark.parametrize("hub", ["0", 0.0, True, None])
+    def test_hub_index_must_be_an_int(self, hub):
+        g = ug.build_graph(["a", "b", "x"], [("a", "b", 1)])
+        with pytest.raises(ug.BadHubIndexError) as excinfo:
+            ug.augment(g, hub, {1: 1})
+        assert str(excinfo.value) == f"hub index {hub!r} out of range for 2 component(s)"
+
     def test_missing_constant(self):
         g = ug.build_graph(["a", "x"], [])
         with pytest.raises(ug.MissingConstantError):
@@ -403,6 +420,20 @@ class TestAugment:
         g = ug.build_graph(["a", "x"], [])
         with pytest.raises(ug.MissingConstantError):
             ug.augment(g, 0, {1: 1, 5: 2})
+
+    @pytest.mark.parametrize("key", ["x", "1", 1.0, True])
+    def test_constant_keys_must_be_ints(self, key):
+        # A True key once stood for component 1, and a string key escaped
+        # as a bare TypeError from the range test.
+        g = ug.build_graph(["a", "x"], [])
+        with pytest.raises(ug.MissingConstantError) as excinfo:
+            ug.augment(g, 0, {key: 1})
+        assert str(excinfo.value) == f"no component with index {key!r}"
+
+    @pytest.mark.parametrize("key", [0.5, "0", False])
+    def test_a_connected_graph_takes_no_bad_key(self, key):
+        with pytest.raises(ug.MissingConstantError):
+            ug.augment(unit_c4(), 0, {key: 1})
 
     def test_negative_constant_rejected(self):
         g = ug.build_graph(["a", "x"], [])

@@ -4,6 +4,7 @@ brute-force oracles and against each other."""
 import json
 import random
 import re
+import time
 import tracemalloc
 from collections import deque
 from contextlib import contextmanager, nullcontext
@@ -2482,7 +2483,10 @@ def test_witnesses_match_the_name_search_over_the_lighter_subgraph(data, wide):
 
 
 def table_is_unique_extension(g):
-    p, q, level = ug.extension._twice_max_analysis(g, require_extendable=True)
+    rep = ug.is_pseudoultrametrizable(g)  # a closer before a disconnection
+    if not rep.pseudoultrametrizable:
+        raise ug.NotExtendableError(rep.witness)
+    p, q, level = ug.extension._twice_max_analysis(g)
     home, twice = ug.extension._zero_classes(g), level < 0  # every twice-max pair well chained?
     return bool((home[p[twice]] == home[q[twice]]).all())
 
@@ -2566,3 +2570,118 @@ def test_unique_and_well_chained_hold_no_pair_table():
     finally:
         tracemalloc.stop()
     assert max(peaks) < 3 * 2**20, peaks
+
+
+# Both extensions from one merge pass, against the bodies they replaced:
+# the least extension as the twice-max pair walk filled it, and the
+# greatest as the subdominant matrix followed by an extendability pass.
+
+
+def pair_walk_least_extension(g):
+    parts = ug.multipartite_parts(g)
+    if parts is None:
+        raise ug.NotCompleteMultipartiteError(structure.find_multipartite_obstruction(g))
+    if len(parts) < 2:
+        raise ug.NotCompleteMultipartiteError(None, "graph is edgeless (one part); need at least two parts")
+    rep = ug.is_pseudoultrametrizable(g)  # the walk raised at its first closer
+    if not rep.pseudoultrametrizable:
+        raise ug.NotExtendableError(rep.witness)
+    p, q, level = ug.extension._twice_max_analysis(g)
+    table, rank = graph._ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
+    rank = np.array(rank, dtype=np.int32)  # so twice-max pairs (-1) stay at 0
+    i, j, k = g._edge_columns
+    ranks = np.zeros((len(g.vertices),) * 2, dtype=np.int32)
+    ranks[i, j] = ranks[j, i] = rank[k + 1]
+    ranks[p, q] = ranks[q, p] = rank[level + 1]
+    m = metrics._from_values(g.vertices, table, ranks)
+    if not m.axiom_class.satisfies(AxiomClass.PSEUDOULTRAMETRIC):
+        raise ug.NotPseudoultrametricError(
+            "least-extension values are inconsistent; input is outside the supported graph class"
+        )
+    return m
+
+
+def two_pass_greatest_extension(g):
+    m = ug.subdominant_matrix(g)
+    report = ug.is_pseudoultrametrizable(g)
+    if not report.pseudoultrametrizable:
+        raise ug.NotExtendableError(report.witness)
+    return m
+
+
+def with_twins(rng, g):
+    """``g`` with one to three vertices given the weights of another vertex
+    of their part, so that they are twins; the weighting stays extendable."""
+    parts = [p for p in ug.multipartite_parts(g).blocks if len(p) > 1]
+    weight = {frozenset((u, v)): w for u, v, w in g.weighted_edges()}
+    for _ in range(rng.randint(1, 3) if parts else 0):
+        a, b = rng.sample(rng.choice(parts), 2)
+        for x in g.neighbors(b):
+            weight[frozenset((b, x))] = weight[frozenset((a, x))]
+    return ug.build_graph(g.vertices, [(*sorted(e), w) for e, w in weight.items()])
+
+
+@st.composite
+def extension_graphs(draw, max_n=24):
+    """Planted complete multipartite graphs, often with twins, tied levels
+    and zero classes: as drawn, with one edge nudged to another weight,
+    which often closes a cycle, with one edge removed, or beside a graph
+    that holds a closer, so that disconnection and a closer meet."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    g = planted_multipartite(rng, max_n)
+    if rng.random() < 0.7:
+        g = with_twins(rng, g)
+    kind = draw(st.sampled_from(["planted", "nudged", "removed", "apart"]))
+    edges = list(g.weighted_edges())
+    if kind == "nudged":
+        e = rng.randrange(len(edges))
+        u, v, w = edges[e]
+        edges[e] = (u, v, rng.choice([w + 1, w / 2, Fraction(0), Fraction(1, 3)]))
+    if kind == "removed":
+        del edges[rng.randrange(len(edges))]
+    g = ug.build_graph(g.vertices, edges)
+    if kind == "apart":
+        first = TRIANGLE_123 if rng.random() < 0.5 else g
+        g = disjoint_union(first, planted_multipartite(rng, max_n // 2))
+    return g
+
+
+@settings(max_examples=500, deadline=None)
+@given(extension_graphs())
+def test_both_extensions_match_the_pair_walk_and_two_pass_bodies(g):
+    # The value, or the exception type and message, with the same witness cycle.
+    for f, reference in ((ug.least_extension, pair_walk_least_extension),
+                         (ug.greatest_extension, two_pass_greatest_extension)):
+        got, want = outcome(f, g), outcome(reference, g)
+        assert got == want
+        if isinstance(want, ug.DistanceMatrix):
+            same_matrix(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(extension_graphs())
+def test_least_walks_no_pair_and_each_extension_makes_one_merge_pass(g):
+    patch = mock.patch.object
+    passes = mock.Mock(wraps=metrics._merge_levels)
+    with patch(metrics, "_merge_levels", passes), patch(ug.extension, "_merge_levels", passes), \
+            patch(ug.extension, "_twice_max_analysis", wraps=ug.extension._twice_max_analysis) as walk, \
+            patch(ug.extension, "_nonadjacent", wraps=ug.extension._nonadjacent) as table:
+        least = outcome(ug.least_extension, g)
+        refused = isinstance(least, tuple) and least[0] is ug.NotCompleteMultipartiteError
+        assert passes.call_count == (0 if refused else 1)
+        assert walk.call_count == table.call_count == 0
+        passes.reset_mock()
+        greatest = outcome(ug.greatest_extension, g)
+        apart = isinstance(greatest, tuple) and greatest[0] is ug.DisconnectedError
+        assert passes.call_count == (0 if apart else 1)
+
+
+def test_least_on_a_wide_star_takes_well_under_a_second():
+    # The pair walk took 5 s or more here: 998 levels over about 5 * 10**5 leaf pairs.
+    n = 1000
+    names = [f"v{i}" for i in range(n)]
+    g = ug.build_graph(names, [("v0", names[i], i) for i in range(1, n)])
+    start = time.process_time()
+    least = ug.least_extension(g)
+    assert time.process_time() - start < 1
+    assert least == ug.greatest_extension(g)  # distinct weights: no twins
