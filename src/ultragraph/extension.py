@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, count
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ from .graph import (
     Vertex,
     WeightedGraph,
     _csr,
-    _ranked,
     _reach,
     build_graph,
     connected_components,
@@ -73,11 +72,11 @@ from .graph import (
 from .metrics import (
     AxiomClass,
     DistanceMatrix,
-    _fill_intervals,
     _from_values,
     _level_slices,
     _merge_levels,
     _require_connected,
+    _subdominant_codes,
 )
 from .structure import find_multipartite_obstruction, multipartite_parts
 
@@ -133,19 +132,6 @@ def _closed_cycle(g: WeightedGraph, closer: tuple[int, int, int]) -> Cycle:
     return Cycle(tuple(map(g.vertices.__getitem__, reversed(detour))))
 
 
-def _greatest_codes(g: WeightedGraph) -> tuple[tuple, np.ndarray]:
-    """The greatest extension of connected ``g``: the table of its distinct
-    values and each cell's int32 code, from one merge pass that raises
-    NotExtendableError at the first closer, as is_pseudoultrametrizable finds it."""
-    table, rank = _ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
-    merges = []
-    for k, closers, level, _ in _merge_levels(len(g.vertices), g._edge_columns, range(len(g._levels))):
-        if closers:
-            raise NotExtendableError(_closed_cycle(g, closers[0]))
-        merges += [(*m, rank[k + 1]) for m in level]
-    return table, _fill_intervals(len(g.vertices), merges, 0)
-
-
 def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     """Largest pseudoultrametric extending the weighting.
 
@@ -156,7 +142,10 @@ def greatest_extension(g: WeightedGraph) -> DistanceMatrix:
     without extendability; disconnection is reported first.
     """
     _require_connected(g)
-    return _from_values(g.vertices, *_greatest_codes(g))
+    table, codes, closer = _subdominant_codes(g)
+    if closer:
+        raise NotExtendableError(_closed_cycle(g, closer))
+    return _from_values(g.vertices, table, codes)
 
 
 def _block_forest(adj: Sequence[Sequence[int]]):
@@ -326,7 +315,9 @@ def least_extension(g: WeightedGraph) -> DistanceMatrix:
         raise NotCompleteMultipartiteError(
             None, "graph is edgeless (one part); need at least two parts"
         )
-    table, codes = _greatest_codes(g)
+    table, codes, closer = _subdominant_codes(g)
+    if closer:
+        raise NotExtendableError(_closed_cycle(g, closer))
     i, j, k = g._edge_columns
     row = np.zeros_like(codes)  # level + 1 to each vertex, 0 off the edges
     row[i, j] = row[j, i] = k + 1
@@ -392,10 +383,13 @@ def augment(
     """
     comps = connected_components(g)
     k = len(comps)
-    if type(hub_component_index) is not int or not 0 <= hub_component_index < k:
+    # Integers, numpy's too, index the components; a bool is Integral but no index.
+    if isinstance(hub_component_index, bool) or not isinstance(hub_component_index, Integral):
+        raise BadHubIndexError(f"hub index {hub_component_index!r} is not an int")
+    if not 0 <= hub_component_index < k:
         raise BadHubIndexError(f"hub index {hub_component_index!r} out of range for {k} component(s)")
     consts = dict(constants) if constants else {}
-    if bad := [i for i in consts if type(i) is not int]:  # before True can pass for 1
+    if bad := [i for i in consts if isinstance(i, bool) or not isinstance(i, Integral)]:
         raise MissingConstantError(f"no component with index {bad[0]!r}")
     needed = [i for i in range(k) if i != hub_component_index]
     for i in needed:
@@ -403,9 +397,7 @@ def augment(
             raise MissingConstantError(f"no constant for component {i}")
     for i in consts:
         if i == hub_component_index:
-            raise MissingConstantError(
-                f"component {i} is the hub; it takes no constant"
-            )
+            raise MissingConstantError(f"component {i} is the hub; it takes no constant")
         if not 0 <= i < k:
             raise MissingConstantError(f"no component with index {i}")
     if k == 1:

@@ -4,7 +4,8 @@ Two matrix builders live here. ``subdominant_matrix`` computes the
 greatest pseudoultrametric lying edgewise below a weighting, which on a
 finite connected graph equals the minimax (bottleneck) path distance;
 ``shortest_path_matrix`` computes the greatest pseudometric below the
-weighting, the usual min-sum path distance. Both are exact.
+weighting, the usual min-sum path distance. Both are exact. The
+extensions share the first one's merge pass, ``_subdominant_codes``.
 
 A matrix is its ranks: its sorted distinct values and each cell's int32
 rank among them, so each value is converted, rescaled and formatted once,
@@ -401,12 +402,21 @@ def subdominant_matrix(g: WeightedGraph) -> DistanceMatrix:
     components when no extension below the weight exists at all.
     """
     _require_connected(g)
-    weights, merges = [Fraction(0)], []  # weight of each rank; merges with their rank
-    for w, _, level, _ in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
+    return _from_values(g.vertices, *_subdominant_codes(g)[:2])
+
+
+def _subdominant_codes(g: WeightedGraph) -> tuple[list[Weight], np.ndarray, tuple[int, int, int] | None]:
+    """The subdominant matrix of connected ``g`` from one merge pass: its
+    distinct values, each cell's int32 code, and the first closer the pass
+    met, the one ``is_pseudoultrametrizable`` names, or None. The extensions
+    share it: without a closer it is the greatest extension."""
+    weights, merges, closer = [Fraction(0)], [], None  # weight of each rank; merges with their rank
+    for w, closers, level, _ in _merge_levels(len(g.vertices), g._edge_columns, g._levels):
+        closer = closer or next(iter(closers), None)
         if level and w:
             weights.append(w)
         merges += [(*m, len(weights) - 1) for m in level]
-    return _from_values(g.vertices, weights, _fill_intervals(len(g.vertices), merges, 0))
+    return weights, _fill_intervals(len(g.vertices), merges, 0), closer
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DistanceMatrix:

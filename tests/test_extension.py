@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import ultragraph as ug
@@ -399,12 +400,24 @@ class TestAugment:
         with pytest.raises(ug.BadHubIndexError):
             ug.augment(g, -1)
 
-    @pytest.mark.parametrize("hub", ["0", 0.0, True, None])
+    @pytest.mark.parametrize("hub", ["0", 0.0, True, np.True_, None])
     def test_hub_index_must_be_an_int(self, hub):
         g = ug.build_graph(["a", "b", "x"], [("a", "b", 1)])
         with pytest.raises(ug.BadHubIndexError) as excinfo:
             ug.augment(g, hub, {1: 1})
-        assert str(excinfo.value) == f"hub index {hub!r} out of range for 2 component(s)"
+        assert str(excinfo.value) == f"hub index {hub!r} is not an int"
+
+    @pytest.mark.parametrize("int_type", [int, np.int64, np.uint8])
+    def test_numpy_integers_index_components(self, int_type):
+        g = ug.build_graph(["a", "b", "x"], [("a", "b", 1)])
+        want = ug.augment(g, 0, {1: 2})
+        assert ug.augment(g, int_type(0), {int_type(1): 2}) == want
+        with pytest.raises(ug.BadHubIndexError) as excinfo:
+            ug.augment(g, int_type(2), {1: 2})
+        assert str(excinfo.value) == f"hub index {int_type(2)!r} out of range for 2 component(s)"
+        with pytest.raises(ug.MissingConstantError) as excinfo:
+            ug.augment(g, 0, {int_type(1): 2, int_type(2): 2})
+        assert str(excinfo.value) == "no component with index 2"
 
     def test_missing_constant(self):
         g = ug.build_graph(["a", "x"], [])
@@ -421,7 +434,7 @@ class TestAugment:
         with pytest.raises(ug.MissingConstantError):
             ug.augment(g, 0, {1: 1, 5: 2})
 
-    @pytest.mark.parametrize("key", ["x", "1", 1.0, True])
+    @pytest.mark.parametrize("key", ["x", "1", 1.0, True, np.True_])
     def test_constant_keys_must_be_ints(self, key):
         # A True key once stood for component 1, and a string key escaped
         # as a bare TypeError from the range test.

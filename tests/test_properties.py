@@ -2382,7 +2382,8 @@ def test_least_and_unique_extension_decide_extendability_in_their_own_walk(g, se
         g = ug.build_graph(g.vertices, [(u, v, rng.randint(0, 3)) for u, v, _ in g.weighted_edges()])
     rep, unique = ug.is_pseudoultrametrizable(g), outcome(composed_unique, g)
     patch = mock.patch.object
-    with patch(ug.extension, "_merge_levels", wraps=metrics._merge_levels) as passes, \
+    passes = mock.Mock(wraps=metrics._merge_levels)  # least's pass runs in metrics
+    with patch(metrics, "_merge_levels", passes), patch(ug.extension, "_merge_levels", passes), \
             patch(ug.extension, "_block_forest", wraps=ug.extension._block_forest) as built:
         # The same verdict, and the same witness or DisconnectedError in the same order.
         assert outcome(ug.is_unique_extension, g) == unique
