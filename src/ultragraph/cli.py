@@ -224,8 +224,8 @@ _COMMANDS = {
         _shortest,
     ),
     "least": (
-        "least pseudoultrametric extension; exists exactly on complete "
-        "multipartite graphs with two or more parts",
+        "least pseudoultrametric extension; computed on complete multipartite "
+        "graphs with two or more parts, where every extendable weighting has one",
         [_FORMAT],
         _least,
     ),

@@ -21,25 +21,32 @@ path has a unique maximal edge. With H the strictly lighter subgraph,
 pair {p,q} has such a path through edge e = {x,y} iff H + e has a simple
 p-q path through e. If e joins two components of H, it is a bridge of
 H + e, and p and q must lie one in each. Otherwise e closes a cycle with
-a unique maximum (it is a closer), and an edge of a block lies on a
-simple p-q path iff the block lies on the forest path from p to q. So
-the merge levels decide every pair. At a level with no closer, a pair is
-hit iff one edge of the level joins its two components directly. Only a
-level with a closer, which no extendable weighting has, builds a block
-forest: that of H plus the level's closers, where a pair in one
-component is hit iff its forest path meets a block holding a closer.
-The walk takes each level's starting roots from the merge core's root
-list, and connectivity from its last one.
+a unique maximum (it is a closer), p and q lie in its component of H,
+and an edge of a block lies on a simple p-q path iff the block lies on
+the forest path from p to q. So on any graph, a pair that level k first
+connects is resolved at level k iff one of the level's edges joins its
+two starting clusters directly. The pairs left are, for each two
+starting clusters that level k puts in one cluster with no edge of its
+own between them, all pairs across the two; every cluster is an
+interval of the merge's leaf order, so each is a rectangle, two slices
+of that order. A pair left over stays pending until a level with a
+closer, which no extendable weighting has: there the block forest of H
+plus the level's closers resolves it iff its forest path meets a block
+holding a closer, that is, iff it lies in two pieces once those blocks
+are cut. No edge is taken out of a rectangle: an edge between its two
+clusters lies at a heavier level, where it is a closer, and a closer's
+two ends always lie in different pieces. The walk reads each level's
+starting roots off the merge core's root list, and connectivity off its
+merge count.
 
-The uniqueness test lists no pair. On an extendable graph a nonadjacent
-pair that level k first connects has a unique-maximum path iff one of
-level k's edges joins its two starting roots directly: that edge tops a
-path through the two lighter components, and a unique top edge at a
-later level would either join two lighter components, one of which
-holds both ends, or close a lighter cycle. So the extension is unique
-iff, at each positive level, every two starting roots the level fuses
-are joined by one of its edges, which one count per level decides. The
-well-chained pairs are each zero class's pairs minus its edges.
+The uniqueness test lists no pair. On an extendable graph no pair is
+ever resolved after the level that first connects it, so the twice-max
+pairs are the rectangles, and those of a positive level are not well
+chained: the extension is unique iff, at each positive level, every two
+starting roots the level fuses are joined by one of its edges, which
+one count per level decides. The well-chained pairs are the pairs that
+the one level of zero-weight edges leaves unjoined, less those a heavier
+edge joins.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from .errors import (
 from .graph import (
     Cycle,
     Vertex,
+    Weight,
     WeightedGraph,
     _csr,
     _reach,
@@ -75,6 +83,7 @@ from .metrics import (
     _from_values,
     _level_slices,
     _merge_levels,
+    _places,
     _require_connected,
     _subdominant_codes,
 )
@@ -210,66 +219,76 @@ def _pieces(adj: Sequence[Sequence[int]], closers: list[tuple[int, int, int]]) -
     return np.array(piece)
 
 
-def _nonadjacent(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The nonadjacent index pairs ``(p, q)``, ``p < q``, in row-major order."""
-    i, j, _ = g._edge_columns
-    joined = np.tri(len(g.vertices), dtype=bool)
-    joined[i, j] = True
-    return np.nonzero(~joined)
+def _fusions(n: int, columns: np.ndarray, levels: Sequence[Weight]):
+    """One merge walk over the index edges ``columns`` of weights ``levels``.
 
-
-def _twice_max_analysis(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the nonadjacent index pairs by unique-maximum-path existence.
-
-    Returns the pairs ``(p, q)``, ``p < q``, in row-major order as two index
-    arrays, and for each the weight level of the least unique-max path's
-    dominant edge, or -1 where every connecting path has two maximal edges.
-    Walks the merge levels (see the module docstring) until every pair is
-    resolved.
+    Yields ``(lighter, closers, merges, unjoined)`` per level present,
+    increasing: the columns of the strictly lighter edges, the level's
+    closers and merges as ``_merge_levels`` yields them, and
+    ``(a, sa, b, sb)`` for each two starting clusters, roots a < b of sizes
+    sa and sb at the level's start, that the level puts in one cluster with
+    no edge of its own between them. Each level's starting roots are read
+    off the core's root list before the core takes the level.
     """
-    n = len(g.vertices)
-    p, q = _nonadjacent(g)
-    level = np.full(len(p), -1)
-    live = np.arange(len(p))  # the pairs no level has hit yet
-    label = np.arange(n)  # each vertex's root in the lighter graph
-    cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
-    columns, starts = _level_slices(g._edge_columns)  # level k's edges start at starts[k]
-    for k, closers, _, roots in _merge_levels(n, columns, range(len(g._levels)), starts):
-        if not len(live):  # so connected: a pair of two components stays live
-            break
-        lp, lq = label[p[live]], label[q[live]]
-        ra, rb = label[columns[:2, starts[k]:starts[k + 1]]]  # the level's starting roots
-        cross[ra, rb] = cross[rb, ra] = True
-        hit = cross[lp, lq]
-        cross[ra, rb] = cross[rb, ra] = False
-        if closers:  # the lighter edges and the closers: ends with one starting root
-            upto = columns[:, :starts[k + 1]]
-            upto = upto.compress(label[upto[0]] == label[upto[1]], axis=1)
-            piece = _pieces(_csr(n, upto), closers)
-            same = lp == lq  # not np.where: its first call adds about 0.3 MB of RSS
-            hit[same] = (piece[p[live]] != piece[q[live]])[same]
-        level[live[hit]] = k
-        live = live[~hit]
-        label = np.fromiter(roots, np.intp, n)  # a copy: the core's next level changes its roots
-    if len(live) and (label != label[0]).any():
-        _require_connected(g)  # raises, naming two components
-    return p, q, level
+    columns, starts = _level_slices(columns)
+    ii, jj, _ = columns.tolist()
+    walk = _merge_levels(n, columns, levels, starts)
+    roots, size = range(n), [1] * n  # roots: the core's list, read before its next level
+    for lo, hi in zip(starts, starts[1:]):
+        ends = zip(map(roots.__getitem__, ii[lo:hi]), map(roots.__getitem__, jj[lo:hi]))
+        joined = {(a, b) if a < b else (b, a) for a, b in ends}
+        _, closers, merges, roots = next(walk)
+        groups = defaultdict(set)  # the starting roots of each cluster the level made
+        for ra, rb, _, _ in merges:
+            groups[roots[ra]].update((ra, rb))
+        unjoined = [(a, size[a], b, size[b]) for group in groups.values()
+                    for a, b in combinations(sorted(group), 2) if (a, b) not in joined]
+        yield columns[:, :lo], closers, merges, unjoined
+        for ra, _, sa, sb in merges:
+            size[ra] = sa + sb
+
+
+def _listed(pairs: np.ndarray, rectangles: list, at: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The index pairs ``pairs``, one per column, followed by every pair
+    (p, q), p < q, of the ``rectangles`` ``(a, sa, b, sb)``: each vertex of
+    a's cluster, the sa vertices of the leaf order ``order`` from a's place
+    ``at[a]``, with each vertex of b's."""
+    a, sa, b, sb = np.array(rectangles, dtype=np.intp).reshape(-1, 4).T
+    area = sa * sb
+    r = np.repeat(np.arange(len(area)), area)  # each pair's rectangle
+    t = np.arange(len(r)) - (area.cumsum() - area)[r]  # and its place in it, row by row
+    x, y = order[at[a[r]] + t // sb[r]], order[at[b[r]] + t % sb[r]]
+    return np.hstack([pairs, np.sort([x, y], axis=0)])
 
 
 def twice_max_pairs(g: WeightedGraph) -> PairSet:
-    """Nonadjacent pairs whose every connecting path has >= 2 maximal edges."""
-    p, q, level = _twice_max_analysis(g)
-    v, twice = g.vertices, level < 0
-    return frozenset((v[a], v[b]) for a, b in zip(p[twice].tolist(), q[twice].tolist()))
+    """Nonadjacent pairs whose every connecting path has >= 2 maximal edges.
 
-
-def _zero_classes(g: WeightedGraph) -> np.ndarray:
-    """Each vertex's class in the subgraph of zero-weight edges, as the class's root."""
-    columns = g._edge_columns  # level 0, when its weight is 0
-    zero = columns.compress((columns[2] == 0) & (g._levels[:1] == (0,)), axis=1)
-    for _, _, _, roots in _merge_levels(len(g.vertices), zero, g._levels):  # one level, if any
-        return np.array(roots)
-    return np.arange(len(g.vertices))
+    The pairs that the level first connecting them leaves unresolved are
+    rectangles of the merge's leaf order (module docstring). They are
+    listed in one numpy pass at each level with a closer while some are
+    pending, keeping those that lie in one piece there, and once at the
+    end: a forest is built only at such a level, and an extendable graph
+    builds none. O(m log m + output) on an extendable graph. Raises
+    DisconnectedError on a disconnected graph.
+    """
+    n = len(g.vertices)
+    levels = list(_fusions(n, g._edge_columns, g._levels))
+    merges = [m for _, _, fused, _ in levels for m in fused]
+    if len(merges) < n - 1:
+        _require_connected(g)  # raises, naming two components
+    at = np.array(_places(n, merges), dtype=np.intp)
+    order = at.argsort()
+    pairs = np.zeros((2, 0), dtype=np.intp)  # the pairs listed and still pending
+    pending = []  # the rectangles not listed yet
+    for lighter, closers, _, unjoined in levels:
+        if closers and (pending or pairs.size):
+            pairs, pending = _listed(pairs, pending, at, order), []
+            piece = _pieces(_csr(n, np.hstack([lighter, np.array(closers).T])), closers)
+            pairs = pairs.compress(piece[pairs[0]] == piece[pairs[1]], axis=1)
+        pending += unjoined
+    v = g.vertices
+    return frozenset((v[a], v[b]) for a, b in _listed(pairs, pending, at, order).T.tolist())
 
 
 def well_chained_pairs(g: WeightedGraph) -> PairSet:
@@ -277,24 +296,21 @@ def well_chained_pairs(g: WeightedGraph) -> PairSet:
 
     On a finite graph these are exactly the pairs joined inside the
     subgraph of zero-weight edges: a path of maximum weight below every
-    positive bound must avoid all positive edges. So they are each zero
-    class's pairs minus its edges, listed class by class in O(m + output):
-    none at all without a zero-weight edge.
+    positive bound must avoid all positive edges. So they are the unjoined
+    pairs of the one level of zero-weight edges, which starts from single
+    vertices, less those a heavier edge joins (only a weighting that does
+    not extend has one): O(m + output), and none at all without a
+    zero-weight edge.
     """
     _require_connected(g)
     if g._levels[:1] != (0,):  # every zero class is a single vertex
         return frozenset()
-    home = _zero_classes(g)
-    i, j, _ = g._edge_columns
-    inside = home[i] == home[j]
-    edges = set(zip(i[inside].tolist(), j[inside].tolist()))  # the edges within a class
-    classes: dict[int, list[int]] = {}
-    for a, r in enumerate(home.tolist()):
-        classes.setdefault(r, []).append(a)
+    i, j, k = g._edge_columns
+    zero = g._edge_columns.compress(k == 0, axis=1)  # level 0, whose weight is 0
+    unjoined = next(_fusions(len(g.vertices), zero, g._levels))[3]
     v = g.vertices
-    return frozenset(
-        (v[a], v[b]) for c in classes.values() for a, b in combinations(c, 2) if (a, b) not in edges
-    )
+    pairs = {(a, b) for a, _, b, _ in unjoined}.difference(zip(i.tolist(), j.tolist()))
+    return frozenset((v[a], v[b]) for a, b in pairs)
 
 
 def least_extension(g: WeightedGraph) -> DistanceMatrix:

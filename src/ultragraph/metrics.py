@@ -17,7 +17,8 @@ vertex, scanned only for a witness. ``_merge_levels`` is the one
 single-linkage core: it reads a graph's edge columns, grouped into levels
 by one stable sort of the level column, builds no per-edge tuple but a
 closer's and yields its own root list. Every cluster is an interval of one
-leaf order, so a builder fills two slices per merge (``_fill_intervals``).
+leaf order (``_places``), so a builder fills two slices per merge
+(``_fill_intervals``).
 A merge tree is flat lists (``_merge_tree``), a ``Dendrogram`` a view on them.
 Floyd–Warshall, the plain triangle, ``compare`` and the exponent run on
 the values times the lcm of their denominators, exact integers in int32,
@@ -350,7 +351,7 @@ def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight], starts=
     ``closers`` are the level's edges ``(i, j, k)`` whose endpoints strictly
     lighter edges already joined; ``merges`` lists each union in edge order as
     ``(ra, rb, sa, sb)``, the roots and sizes of the two clusters it fused,
-    survivor first. Each root leads its cluster in ``_fill_intervals``' order.
+    survivor first. Each root leads its cluster in ``_places``' leaf order.
     ``roots`` is each vertex's root once the level's merges are done: the
     core's own list, not a copy, so the next level changes it.
     Quick-find: ``label`` holds each vertex's root and each root its members,
@@ -378,15 +379,24 @@ def _merge_levels(n: int, columns: np.ndarray, values: Sequence[Weight], starts=
         yield values[k], closers, merges, label
 
 
+def _places(n: int, merges: list) -> list[int]:
+    """Each vertex's place in the leaf order of the tree that the merges
+    ``(ra, rb, sa, sb, ...)`` build over all ``n`` vertices. A cluster of
+    size s, at any point of the merges, is the s places from its root's."""
+    at = [0] * n
+    for ra, rb, sa, *_ in reversed(merges):  # a later merge placed ra
+        at[rb] = at[ra] + sa
+    return at
+
+
 def _fill_intervals(n: int, merges: list, fill: int) -> np.ndarray:
     """int32 codes in vertex order: ``code`` between the clusters each merge
     ``(ra, rb, sa, sb, code)`` fuses into one tree of all ``n`` vertices, ``fill``
-    on the diagonal. Each cluster is an interval of one leaf order, from its root."""
-    at = [0] * n  # each vertex's place in the leaf order
+    on the diagonal: two slices of ``_places``' leaf order per merge."""
+    at = _places(n, merges)
     codes = np.full((n, n), fill, dtype=np.int32)
-    for ra, rb, sa, sb, code in reversed(merges):  # a later merge placed ra
-        lo = at[ra]
-        at[rb] = mid = lo + sa
+    for ra, rb, _, sb, code in merges:
+        lo, mid = at[ra], at[rb]
         codes[lo:mid, mid:mid + sb] = codes[mid:mid + sb, lo:mid] = code
     return codes[np.ix_(at, at)]
 

@@ -1,5 +1,7 @@
 """Random fixture generators shared by the unit, property and acceptance
-suites, and a by-name view of the twice-max analysis.
+suites, and the pair-table bodies that ``twice_max_pairs`` and
+``well_chained_pairs`` replaced, kept as references, with a by-name view
+of the twice-max analysis.
 
 Weight pools are deliberately small for a coin-flip's worth of the
 graphs (probability 0.6), which forces repeated values whenever a graph
@@ -13,9 +15,12 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 import ultragraph as ug
-from ultragraph.extension import _twice_max_analysis
+from ultragraph.extension import _pieces
+from ultragraph.graph import _csr
+from ultragraph.metrics import _level_slices, _merge_levels, _require_connected
 
 WEIGHT_POOL = [
     Fraction(0),
@@ -179,12 +184,69 @@ def edge_triples(g: ug.WeightedGraph) -> tuple[tuple[int, int, int], ...]:
     return tuple(zip(*g._edge_columns.tolist()))
 
 
+def nonadjacent(g: ug.WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The nonadjacent index pairs ``(p, q)``, ``p < q``, in row-major order."""
+    i, j, _ = g._edge_columns
+    joined = np.tri(len(g.vertices), dtype=bool)
+    joined[i, j] = True
+    return np.nonzero(~joined)
+
+
+def twice_max_analysis(g: ug.WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the nonadjacent index pairs by unique-maximum-path existence.
+
+    Returns the pairs ``(p, q)``, ``p < q``, in row-major order as two index
+    arrays, and for each the weight level of the least unique-max path's
+    dominant edge, or -1 where every connecting path has two maximal edges.
+    Walks the merge levels, indexing every pair no level has resolved yet
+    through an n x n table of the level's joined root pairs, until every
+    pair is resolved; a closer level cuts the pairs of one component by
+    ``_pieces``. Raises DisconnectedError when a pair stays apart.
+    """
+    n = len(g.vertices)
+    p, q = nonadjacent(g)
+    level = np.full(len(p), -1)
+    live = np.arange(len(p))  # the pairs no level has hit yet
+    label = np.arange(n)  # each vertex's root in the lighter graph
+    cross = np.zeros((n, n), dtype=bool)  # the level's root pairs
+    columns, starts = _level_slices(g._edge_columns)  # level k's edges start at starts[k]
+    for k, closers, _, roots in _merge_levels(n, columns, range(len(g._levels)), starts):
+        if not len(live):  # so connected: a pair of two components stays live
+            break
+        lp, lq = label[p[live]], label[q[live]]
+        ra, rb = label[columns[:2, starts[k]:starts[k + 1]]]  # the level's starting roots
+        cross[ra, rb] = cross[rb, ra] = True
+        hit = cross[lp, lq]
+        cross[ra, rb] = cross[rb, ra] = False
+        if closers:  # the lighter edges and the closers: ends with one starting root
+            upto = columns[:, :starts[k + 1]]
+            upto = upto.compress(label[upto[0]] == label[upto[1]], axis=1)
+            piece = _pieces(_csr(n, upto), closers)
+            same = lp == lq
+            hit[same] = (piece[p[live]] != piece[q[live]])[same]
+        level[live[hit]] = k
+        live = live[~hit]
+        label = np.fromiter(roots, np.intp, n)  # a copy: the core's next level changes its roots
+    if len(live) and (label != label[0]).any():
+        _require_connected(g)  # raises, naming two components
+    return p, q, level
+
+
+def zero_classes(g: ug.WeightedGraph) -> np.ndarray:
+    """Each vertex's class in the subgraph of zero-weight edges, as the class's root."""
+    columns = g._edge_columns  # level 0, when its weight is 0
+    zero = columns.compress((columns[2] == 0) & (g._levels[:1] == (0,)), axis=1)
+    for _, _, _, roots in _merge_levels(len(g.vertices), zero, g._levels):  # one level, if any
+        return np.array(roots)
+    return np.arange(len(g.vertices))
+
+
 def named_twice_max_analysis(
     g: ug.WeightedGraph,
 ) -> tuple[frozenset, dict[tuple[str, str], Fraction]]:
-    """``_twice_max_analysis`` by vertex name and weight: (the twice-max
+    """``twice_max_analysis`` by vertex name and weight: (the twice-max
     pairs, the least unique-maximum weight of each other nonadjacent pair)."""
-    p, q, level = _twice_max_analysis(g)
+    p, q, level = twice_max_analysis(g)
     v = g.vertices
     pairs = list(zip(p.tolist(), q.tolist(), level.tolist()))
     return (

@@ -447,8 +447,9 @@ class TestInputHandling:
             assert err.startswith("digit-limit: ")
             assert err.count("\n") == 1
 
-    # numpy's words when it refuses the n x n table of ``tm`` on a graph of
-    # 300,000 vertices; the allocation is patched to refuse, none is made.
+    # numpy's words when it refuses an n x n boolean array on a graph of
+    # 300,000 vertices. The index arrays ``tm`` lists its pairs into are
+    # patched to refuse, so none is made.
     REFUSED = "Unable to allocate 83.8 GiB for an array with shape (300000, 300000) and data type bool"
 
     @pytest.mark.parametrize("refused, detail", [
@@ -457,8 +458,9 @@ class TestInputHandling:
         (MemoryError("two\nlines"), "two\\nlines"),
     ])
     def test_a_refused_allocation_is_one_error_line(self, cli, refused, detail):
-        with mock.patch.object(extension.np, "tri", side_effect=refused):
+        with mock.patch.object(extension.np, "repeat", side_effect=refused) as allocation:
             code, out, err = cli(["tm"], UNIT_C4)
+        assert allocation.called  # so the refusal came from tm's own allocation
         assert (code, out, err) == (2, "", f"out-of-memory: {detail}\n")
 
     def assert_unreadable(self, result):

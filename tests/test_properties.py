@@ -2,6 +2,7 @@
 brute-force oracles and against each other."""
 
 import json
+import math
 import random
 import re
 import time
@@ -32,10 +33,13 @@ from corpus import (
     edge_triples,
     from_networkx,
     named_twice_max_analysis,
+    nonadjacent,
     random_connected_graph,
     random_multipartite,
     random_ultrametric,
     random_weighting,
+    twice_max_analysis,
+    zero_classes,
 )
 
 WEIGHTS = [
@@ -2148,8 +2152,8 @@ def forest_per_level_analysis(g):
 
 
 def merge_walk_analysis(g):
-    """``_twice_max_analysis`` in the reference's form."""
-    p, q, level = ug.extension._twice_max_analysis(g)
+    """``twice_max_analysis`` in the reference's form."""
+    p, q, level = twice_max_analysis(g)
     pairs = list(zip(p.tolist(), q.tolist(), level.tolist()))
     return [(a, b) for a, b, k in pairs if k < 0], {(a, b): k for a, b, k in pairs if k >= 0}
 
@@ -2346,6 +2350,24 @@ def closer_weights(g):
     return found
 
 
+def pending_spans(g, pairs, values):
+    """The weights (s, t] over which ``twice_max_pairs`` holds each pair
+    unresolved: s first connects it, t resolves it. The nonadjacent pairs
+    take ``pairs`` and ``values`` from ``named_twice_max_analysis(g)``. The
+    ends of a closer of weight x are pending too, up to a lighter level
+    that resolves them or x, where the closer cuts them apart; ``g`` without
+    that closer has the same levels below x, so its analysis resolves them."""
+    sub = ug.subdominant_matrix(g)  # the weight that first connects each pair
+    spans = [(sub.entry(*pair), math.inf) for pair in pairs]
+    spans += [(sub.entry(*pair), v) for pair, v in values.items()]
+    for a, b, x in g.weighted_edges():
+        if sub.entry(a, b) < x:
+            rest = ug.build_graph(g.vertices, [e for e in g.weighted_edges() if e[:2] != (a, b)])
+            twice, resolved = named_twice_max_analysis(rest)
+            spans.append((sub.entry(a, b), x if (a, b) in twice else min(resolved[a, b], x)))
+    return spans
+
+
 @settings(max_examples=200, deadline=None)
 @given(analysis_graphs().filter(lambda g: len(ug.connected_components(g)) == 1))
 def test_block_forests_are_built_only_at_levels_with_a_closer(g):
@@ -2356,6 +2378,12 @@ def test_block_forests_are_built_only_at_levels_with_a_closer(g):
             assert built.call_count == sum(
                 1 for w in closer_weights(g) if pairs or any(v >= w for v in values.values())
             )
+            # twice_max_pairs builds one only while a pair that a lighter level
+            # first connected is unresolved.
+            spans = pending_spans(g, pairs, values)
+            built.reset_mock()
+            assert ug.twice_max_pairs(g) == pairs
+            assert built.call_count == sum(1 for w in closer_weights(g) if any(s < w <= t for s, t in spans))
             return
         assert not closer_weights(g) and built.call_count == 0
         assert ug.twice_max_pairs(g) == pairs
@@ -2487,15 +2515,15 @@ def table_is_unique_extension(g):
     rep = ug.is_pseudoultrametrizable(g)  # a closer before a disconnection
     if not rep.pseudoultrametrizable:
         raise ug.NotExtendableError(rep.witness)
-    p, q, level = ug.extension._twice_max_analysis(g)
-    home, twice = ug.extension._zero_classes(g), level < 0  # every twice-max pair well chained?
+    p, q, level = twice_max_analysis(g)
+    home, twice = zero_classes(g), level < 0  # every twice-max pair well chained?
     return bool((home[p[twice]] == home[q[twice]]).all())
 
 
 def table_well_chained_pairs(g):
     metrics._require_connected(g)
-    home = ug.extension._zero_classes(g)
-    p, q = ug.extension._nonadjacent(g)
+    home = zero_classes(g)
+    p, q = nonadjacent(g)
     same = home[p] == home[q]
     v = g.vertices
     return frozenset((v[a], v[b]) for a, b in zip(p[same].tolist(), q[same].tolist()))
@@ -2547,6 +2575,53 @@ def test_unique_and_well_chained_match_the_pair_table_bodies(g):
         assert got == reference_well_chained_pairs(g)
 
 
+def crossed_zero_classes(rng, n_max):
+    """A random graph with many zero-weight edges, and one to three heavier
+    edges added inside its zero classes, so the weighting does not extend."""
+    g = random_sparse(rng, n_max)
+    g = ug.build_graph(g.vertices, [(u, v, rng.choice([0, 0, 1, 2])) for u, v, _ in g.weighted_edges()])
+    home, (p, q), v = zero_classes(g), nonadjacent(g), g.vertices
+    inside = [(v[a], v[b]) for a, b in zip(p.tolist(), q.tolist()) if home[a] == home[b]]
+    crossing = rng.sample(inside, min(len(inside), rng.randint(1, 3)))
+    return ug.build_graph(v, [*g.weighted_edges(), *((a, b, rng.randint(1, 3)) for a, b in crossing)])
+
+
+@st.composite
+def pair_family_graphs(draw, max_n=16):
+    """The graphs of ``uniqueness_graphs``, and zero classes that a heavier
+    edge crosses."""
+    if draw(st.booleans()):
+        return crossed_zero_classes(random.Random(draw(st.integers(0, 10**9))), max_n)
+    return draw(uniqueness_graphs(max_n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_family_graphs())
+def test_twice_max_and_well_chained_pairs_match_the_pair_table_bodies(g):
+    # The pairs, or the exception type and message.
+    assert outcome(ug.twice_max_pairs, g) == outcome(lambda g: named_twice_max_analysis(g)[0], g)
+    assert outcome(ug.well_chained_pairs, g) == outcome(table_well_chained_pairs, g)
+
+
+def test_twice_max_pairs_hold_no_pair_table_and_take_well_under_a_second():
+    # On the path n = 2000 a boolean n x n table alone is 3.8 MiB. On the
+    # star n = 1000 the pair table walk took 5 s or more: 998 levels over
+    # about 5 * 10**5 leaf pairs.
+    n = 2000
+    path = ug.build_graph([f"v{i}" for i in range(n)], [(f"v{i}", f"v{i + 1}", i + 1) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        assert ug.twice_max_pairs(path) == frozenset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+    star = ug.build_graph([f"v{i}" for i in range(1000)], [("v0", f"v{i}", i) for i in range(1, 1000)])
+    start = time.process_time()
+    assert ug.twice_max_pairs(star) == frozenset()
+    assert time.process_time() - start < 1
+
+
 def test_a_closer_is_reported_before_a_disconnection():
     g = disjoint_union(TRIANGLE_123, ug.build_graph(["p", "q"], [("p", "q", 1)]))
     with pytest.raises(ug.NotExtendableError) as info:
@@ -2587,7 +2662,7 @@ def pair_walk_least_extension(g):
     rep = ug.is_pseudoultrametrizable(g)  # the walk raised at its first closer
     if not rep.pseudoultrametrizable:
         raise ug.NotExtendableError(rep.witness)
-    p, q, level = ug.extension._twice_max_analysis(g)
+    p, q, level = twice_max_analysis(g)
     table, rank = graph._ranked((Fraction(0), *g._levels))  # level k has rank[k + 1]
     rank = np.array(rank, dtype=np.int32)  # so twice-max pairs (-1) stay at 0
     i, j, k = g._edge_columns
@@ -2664,13 +2739,10 @@ def test_both_extensions_match_the_pair_walk_and_two_pass_bodies(g):
 def test_least_walks_no_pair_and_each_extension_makes_one_merge_pass(g):
     patch = mock.patch.object
     passes = mock.Mock(wraps=metrics._merge_levels)
-    with patch(metrics, "_merge_levels", passes), patch(ug.extension, "_merge_levels", passes), \
-            patch(ug.extension, "_twice_max_analysis", wraps=ug.extension._twice_max_analysis) as walk, \
-            patch(ug.extension, "_nonadjacent", wraps=ug.extension._nonadjacent) as table:
+    with patch(metrics, "_merge_levels", passes), patch(ug.extension, "_merge_levels", passes):
         least = outcome(ug.least_extension, g)
         refused = isinstance(least, tuple) and least[0] is ug.NotCompleteMultipartiteError
         assert passes.call_count == (0 if refused else 1)
-        assert walk.call_count == table.call_count == 0
         passes.reset_mock()
         greatest = outcome(ug.greatest_extension, g)
         apart = isinstance(greatest, tuple) and greatest[0] is ug.DisconnectedError

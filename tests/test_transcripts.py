@@ -155,9 +155,10 @@ PINNED = {
 }
 
 
-# Taken before the commands were declared in one table, under Python 3.11;
-# argparse words its help and errors differently in other versions.
-PINNED_USAGE = "3bcfeb12aa1d10a9dbd71518fae0a5a9522c9cad0552d30a04b796a1da4f27a6"
+# Taken under Python 3.11, once the `least` help said where the command
+# computes a least extension rather than where one exists; argparse words
+# its help and errors differently in other versions.
+PINNED_USAGE = "7f0791d905a3a665316cc703ec454f666d9167d36a98b3b89f98272ccc6a2d26"
 
 
 def test_transcripts_match_pinned_digests():
